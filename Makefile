@@ -1,6 +1,6 @@
 # Development workflow shortcuts.
 
-.PHONY: install test lint lint-strict ci bench bench-full bench-ibs bench-pool bench-stream bench-data bench-serve examples experiments-smoke chaos stream-chaos data-chaos serve-chaos report clean
+.PHONY: install test lint lint-strict ci bench bench-full bench-ibs bench-pool bench-stream bench-data bench-serve bench-smoke examples experiments-smoke chaos stream-chaos data-chaos serve-chaos report clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -74,6 +74,12 @@ bench-data:
 bench-serve:
 	PYTHONPATH=src python scripts/bench_serve.py
 
+# Every perfbench workload at tiny sizes, untraced and traced: each must
+# exit 0, report correct, print exactly the declared metrics, and leave no
+# process behind.  The last CI stage.
+bench-smoke:
+	python3 perfbench/smoke.py
+
 examples:
 	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f || exit 1; done
 
@@ -84,12 +90,12 @@ experiments-smoke:
 # crashes (os._exit, SIGKILL), past-deadline hangs, and a SIGKILLed driver,
 # and still reproduce the clean serial output byte for byte.
 chaos:
-	PYTHONPATH=src python -m repro.resilience.chaos --workers 2
+	PYTHONPATH=src python -m repro.resilience.chaos
 
-# Streaming-auditor chaos drills: crash (exit / SIGKILL) around the journal
-# append, a hung ingest killed externally, a torn tail record, and a crash
-# mid-compaction — every scenario must recover to a byte-identical replay
-# with no orphaned segments past the watermark.
+# Streaming-auditor chaos drills: crash (exit / SIGKILL) between the journal
+# append and the apply, a hung ingest killed externally, a torn tail
+# record, and a crash mid-compaction — every scenario must recover to a
+# byte-identical replay with no orphaned segments past the watermark.
 stream-chaos:
 	PYTHONPATH=src python -m repro.stream.chaos
 

@@ -31,6 +31,9 @@ Runs the repository's quality gates in order, fail-fast::
     examples           every script in examples/ end to end
     bench-regression   fresh IBS + pool + stream + data + serve benchmarks
                        vs the committed baselines
+    bench-smoke        every perfbench workload at tiny sizes, untraced and
+                       traced: exit 0, correct, the declared metrics, no
+                       process left behind
 
 Each stage runs as a subprocess with ``PYTHONPATH=src`` and is timed through
 a :mod:`repro.obs` span; the run ends with a per-stage status table and a
@@ -100,7 +103,7 @@ def stage_commands(
                  "--rules",
                  "R001,R002,R003,R004,R005,R006,R007,R008,"
                  "R009,R010,R011,R012,R013"],
-                [PYTHON, "-m", "repro.resilience.chaos", "--workers", "2"],
+                [PYTHON, "-m", "repro.resilience.chaos"],
             ],
         ),
         (
@@ -184,6 +187,10 @@ def stage_commands(
                 [PYTHON, "scripts/check_bench.py", serve_json,
                  "--kind", "serve"],
             ],
+        ),
+        (
+            "bench-smoke",
+            [[PYTHON, "perfbench/smoke.py"]],
         ),
     ]
 

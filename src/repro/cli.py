@@ -520,13 +520,10 @@ def cmd_stream_init(args: argparse.Namespace) -> int:
 
 
 def cmd_stream_ingest(args: argparse.Namespace) -> int:
-    from repro.stream.chaos import chaos_hook_from_env
     from repro.stream.service import StreamService, read_batches_file
 
     batches = read_batches_file(args.batches)
-    service, _report = StreamService.open(
-        args.directory, allow_empty=True, chaos_hook=chaos_hook_from_env()
-    )
+    service, _report = StreamService.open(args.directory, allow_empty=True)
     try:
         before = service.auditor.n_batches
         dead_before = len(service.log.dead_letters())
@@ -825,12 +822,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.gateway import AuditGateway, GatewayConfig
     from repro.serve.protocol import canonical_json_bytes
     from repro.serve.remedy import RemedyController, RemedyPolicy
-    from repro.stream.chaos import chaos_hook_from_env
     from repro.stream.service import StreamService
 
-    service, report = StreamService.open(
-        args.directory, allow_empty=True, chaos_hook=chaos_hook_from_env()
-    )
+    service, report = StreamService.open(args.directory, allow_empty=True)
     registry = Registry(args.registry) if args.registry else None
     controller = None
     if args.remedy:

@@ -8,12 +8,11 @@ write and read paths and asserts the registry's two contracts:
   :class:`~repro.errors.StoreCorruptionError` (CLI exit 2) whose message
   names the offending shard file;
 * **materialisation is all-or-nothing** — SIGKILL a ``repro data
-  materialize`` subprocess between shard writes (armed via the
-  ``REPRO_DATA_CHAOS=kill_after_shard:<k>`` hook in
-  :mod:`repro.data.store.registry`) and the registry must show **no partial
-  entry**: ``list``/``verify`` never see the torso, ``prune`` sweeps the
-  orphaned ``.tmp-*`` directory, and re-materialising the same name
-  succeeds and verifies.
+  materialize`` subprocess between shard writes (armed at the
+  ``store.after_shard`` crash point in :mod:`repro.data.store.registry`)
+  and the registry must show **no partial entry**: ``list``/``verify``
+  never see the torso, ``prune`` sweeps the orphaned ``.tmp-*`` directory,
+  and re-materialising the same name succeeds and verifies.
 
 Plus the refcount drill: an entry leased by a live process survives
 ``prune`` until the lease is released (or ``--force``).
@@ -25,53 +24,32 @@ Run directly::
 
 from __future__ import annotations
 
-import argparse
-import os
-import signal
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from repro.data.store.registry import CHAOS_ENV, Registry
+from repro.crashpoint import CRASH_SIGKILL
+from repro.data.store.registry import Registry
 from repro.errors import InternalError, StoreCorruptionError
+from repro.resilience.drill import Scenario, arm, exit_status, run, run_suite
 
 ROWS = 20_000
 SHARD_ROWS = 4_000
-CHAOS_TIMEOUT = 120.0
 VICTIM_SHARD = 2
+SITE = "store.after_shard"
 
 
 def _data_cmd(*tail: str) -> list[str]:
     return [sys.executable, "-m", "repro", "data", *tail]
 
 
-def _run(
-    cmd: list[str], env_extra: dict | None = None, check: bool = True
-) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env.pop(CHAOS_ENV, None)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        cmd, capture_output=True, env=env, timeout=CHAOS_TIMEOUT
-    )
-    if check and proc.returncode != 0:
-        raise InternalError(
-            f"command {cmd[3:]} failed (exit {proc.returncode}): "
-            f"{proc.stderr.decode(errors='replace')}"
-        )
-    return proc
-
-
-def _materialize(root: Path, name: str, env_extra: dict | None = None,
-                 check: bool = True) -> subprocess.CompletedProcess:
-    return _run(
+def _materialize(root: Path, name: str, armed: dict | None = None,
+                 check: bool = True):
+    return run(
         _data_cmd(
             "materialize", name, "--root", str(root),
             "--rows", str(ROWS), "--shard-rows", str(SHARD_ROWS),
         ),
-        env_extra=env_extra,
+        armed,
         check=check,
     )
 
@@ -81,7 +59,7 @@ def _materialize(root: Path, name: str, env_extra: dict | None = None,
 def run_corruption(root: Path) -> None:
     """Flip one byte in a shard; verify must fail loudly, naming the shard."""
     _materialize(root, "flip")
-    _run(_data_cmd("verify", "flip", "--root", str(root)))
+    run(_data_cmd("verify", "flip", "--root", str(root)))
 
     victim = root / "flip" / f"shard-{VICTIM_SHARD:05d}" / "c0000.npy"
     blob = bytearray(victim.read_bytes())
@@ -89,7 +67,7 @@ def run_corruption(root: Path) -> None:
     victim.write_bytes(bytes(blob))
 
     # CLI contract: exit 2, stderr names the shard file.
-    proc = _run(_data_cmd("verify", "flip", "--root", str(root)), check=False)
+    proc = run(_data_cmd("verify", "flip", "--root", str(root)), check=False)
     stderr = proc.stderr.decode(errors="replace")
     if proc.returncode != 2:
         raise InternalError(
@@ -126,21 +104,18 @@ def run_corruption(root: Path) -> None:
             ) from exc
     else:
         raise InternalError("Registry.verify accepted a truncated shard file")
-    _run(_data_cmd("prune", "flip", "--root", str(root)))
+    run(_data_cmd("prune", "flip", "--root", str(root)))
 
 
 def run_torn_materialize(root: Path) -> None:
     """SIGKILL materialize between shards; no partial entry may surface."""
     proc = _materialize(
-        root,
-        "torn",
-        env_extra={CHAOS_ENV: f"kill_after_shard:{VICTIM_SHARD}"},
-        check=False,
+        root, "torn", arm(SITE, VICTIM_SHARD, CRASH_SIGKILL), check=False
     )
-    if proc.returncode != -signal.SIGKILL:
+    if proc.returncode != exit_status(CRASH_SIGKILL):
         raise InternalError(
             f"armed materialize exited {proc.returncode}, expected "
-            f"{-signal.SIGKILL} (SIGKILL)"
+            f"{exit_status(CRASH_SIGKILL)} (SIGKILL)"
         )
 
     registry = Registry(root)
@@ -155,7 +130,7 @@ def run_torn_materialize(root: Path) -> None:
             "window was never entered"
         )
     # verify-all must not see the torso either.
-    _run(_data_cmd("verify", "--root", str(root)))
+    run(_data_cmd("verify", "--root", str(root)))
 
     swept = registry.prune()["swept"]
     if not swept:
@@ -171,7 +146,7 @@ def run_torn_materialize(root: Path) -> None:
             f"re-materialized store has {report['n_rows']} rows, "
             f"expected {ROWS}"
         )
-    _run(_data_cmd("prune", "torn", "--root", str(root)))
+    run(_data_cmd("prune", "torn", "--root", str(root)))
 
 
 def run_lease_protection(root: Path) -> None:
@@ -194,32 +169,26 @@ def run_lease_protection(root: Path) -> None:
         )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``make data-chaos``."""
-    parser = argparse.ArgumentParser(
-        description="sharded-store chaos smoke (bit flips, torn writes, leases)"
-    )
-    parser.parse_args(argv)
-
-    with tempfile.TemporaryDirectory(prefix="repro-data-chaos-") as tmpname:
-        root = Path(tmpname) / "registry"
-        run_corruption(root)
-        print(
-            "data-chaos ok: bit flip and truncation both failed verify with "
-            "a typed error naming the corrupt shard file (CLI exit 2)"
-        )
-        run_torn_materialize(root)
-        print(
-            "data-chaos ok: SIGKILLed materialize left no partial entry; "
-            "prune swept the .tmp-* orphan and the name re-materialized clean"
-        )
-        run_lease_protection(root)
-        print(
-            "data-chaos ok: a live lease pinned its entry through prune; "
-            "close() released it for deletion"
-        )
-    return 0
+SCENARIOS = (
+    Scenario(
+        "corruption", run_corruption, None,
+        "bit flip and truncation both failed verify with a typed error "
+        "naming the corrupt shard file (CLI exit 2)",
+    ),
+    Scenario(
+        "torn-materialize", run_torn_materialize, SITE,
+        "SIGKILLed materialize left no partial entry; prune swept the "
+        ".tmp-* orphan and the name re-materialized clean",
+    ),
+    Scenario(
+        "lease-protection", run_lease_protection, None,
+        "a live lease pinned its entry through prune; close() released it "
+        "for deletion",
+    ),
+)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(
+        run_suite("data-chaos", SCENARIOS, lambda tmp: tmp / "registry")
+    )

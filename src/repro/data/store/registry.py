@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from repro.crashpoint import crashpoint
 from repro.data.dataset import Dataset
 from repro.data.store.format import (
     LABELS_FILE,
@@ -49,8 +50,6 @@ from repro.errors import StoreCorruptionError, StoreError
 TMP_PREFIX = ".tmp-"
 LEASE_DIR = ".leases"
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-CHAOS_ENV = "REPRO_DATA_CHAOS"
 
 _lease_seq = 0
 
@@ -93,16 +92,6 @@ def synth_chunks(
     for i, start in enumerate(range(0, total_rows, shard_rows)):
         n = min(shard_rows, total_rows - start)
         yield generator(n_rows=n, seed=seed + i)
-
-
-def _chaos_after_shard(index: int) -> None:
-    """Chaos hook: ``REPRO_DATA_CHAOS=kill_after_shard:<k>`` SIGKILLs the
-    writing process right after shard ``k``'s files hit disk (manifest not
-    yet written) — the data-chaos drill proves the registry never exposes
-    that torso."""
-    plan = os.environ.get(CHAOS_ENV, "")
-    if plan.startswith("kill_after_shard:") and index == int(plan.split(":", 1)[1]):
-        os.kill(os.getpid(), 9)
 
 
 def write_store(
@@ -167,7 +156,9 @@ def write_store(
             }
         )
         start += chunk.n_rows
-        _chaos_after_shard(i)
+        # Shard i is on disk, the manifest is not: a crash here must leave
+        # only a .tmp-* orphan that list/verify never see.
+        crashpoint("store.after_shard", i)
     if schema is None:
         shutil.rmtree(tmp)
         raise StoreError("cannot materialize a store from zero chunks")
@@ -399,5 +390,4 @@ __all__ = [
     "synth_chunks",
     "TMP_PREFIX",
     "LEASE_DIR",
-    "CHAOS_ENV",
 ]

@@ -23,40 +23,35 @@ backstop: its published segments must still vanish from ``/dev/shm``.
 
 Run directly::
 
-    PYTHONPATH=src python -m repro.resilience.chaos --workers 2
+    PYTHONPATH=src python -m repro.resilience.chaos
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import signal
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
+from repro.crashpoint import CRASH_EXIT, CRASH_SIGKILL
 from repro.data.synth import load_compas
 from repro.errors import InternalError
 from repro.experiments.robustness import RobustnessResult, run_seed_sweep
+from repro.resilience.drill import Scenario, kill_when, run, run_suite
 from repro.resilience.executor import BACKEND_PROCESS, CellExecutor, RetryPolicy
-from repro.resilience.faults import (
-    CRASH_EXIT,
-    CRASH_SIGKILL,
-    CrashFault,
-    FaultPlan,
-    HangFault,
-)
+from repro.resilience.faults import CrashFault, FaultPlan, HangFault
 from repro.resilience.shm import SEGMENT_PREFIX, published_segments
 
 CHAOS_ROWS = 800
+CHAOS_WORKERS = 2
 CHAOS_SEEDS = (0, 1, 2, 3, 4)
 #: Cells faulted by the chaos plan (seed -> how its worker dies).
 FAULTED_SEEDS = (0, 1, 2)
 #: Per-cell deadline: generous against a loaded 1-core box (real cells run
 #: in a couple of seconds) yet bounding the hang-cell wait.
 CHAOS_DEADLINE = 30.0
+#: Ceiling on one CLI sweep subprocess of the driver-kill drill.
+CLI_TIMEOUT = 300.0
 
 
 def chaos_plan() -> FaultPlan:
@@ -70,29 +65,27 @@ def chaos_plan() -> FaultPlan:
     )
 
 
-def run_chaos(
-    rows: int = CHAOS_ROWS,
-    seeds: tuple[int, ...] = CHAOS_SEEDS,
-    workers: int = 2,
-) -> str:
-    """Run the murdered sweep, check its invariants, return the table.
+def run_chaos(tmp: Path) -> None:
+    """Run the murdered sweep, check its invariants, print the table.
 
     Raises :class:`~repro.errors.InternalError` when a resilience invariant
     is violated — a lost cell despite retries, a faulted cell that did not
     need a second attempt, no observed worker deaths, or a chaos table
     diverging from the clean serial one.
     """
-    data = load_compas(rows, seed=11)
+    data = load_compas(CHAOS_ROWS, seed=11)
     executor = CellExecutor(
         policy=RetryPolicy(max_attempts=3, retry_timeouts=True),
         deadline=CHAOS_DEADLINE,
         faults=chaos_plan(),
         backend=BACKEND_PROCESS,
-        max_workers=workers,
+        max_workers=CHAOS_WORKERS,
     )
     try:
-        chaotic = run_seed_sweep(data, "ProPublica", seeds=seeds, executor=executor)
-        _check(chaotic, executor, seeds)
+        chaotic = run_seed_sweep(
+            data, "ProPublica", seeds=CHAOS_SEEDS, executor=executor
+        )
+        _check(chaotic, executor, CHAOS_SEEDS)
         if not published_segments():
             raise InternalError(
                 "chaos sweep published no shared-memory segment; the faults "
@@ -107,12 +100,12 @@ def run_chaos(
         )
     _assert_no_shm_leaks("worker-chaos sweep + executor.close()")
 
-    clean = run_seed_sweep(data, "ProPublica", seeds=seeds)
+    clean = run_seed_sweep(data, "ProPublica", seeds=CHAOS_SEEDS)
     if chaotic.table() != clean.table():
         raise InternalError(
             "chaos sweep table diverges from the clean in-process sweep table"
         )
-    return chaotic.table()
+    print(chaotic.table())
 
 
 def _check(
@@ -168,11 +161,11 @@ def _assert_no_shm_leaks(context: str, timeout: float = 10.0) -> None:
 
 # -- driver-kill / resume check ---------------------------------------------------
 
-def _cli_command(rows: int, workers: int, checkpoint: Path, resume: bool) -> list[str]:
+def _cli_command(checkpoint: Path, resume: bool) -> list[str]:
     cmd = [
         sys.executable, "-m", "repro", "experiment", "robustness",
-        "--rows", str(rows), "--models", "dt",
-        "--backend", "process", "--workers", str(workers),
+        "--rows", str(CHAOS_ROWS), "--models", "dt",
+        "--backend", "process", "--workers", str(CHAOS_WORKERS),
         "--checkpoint", str(checkpoint),
     ]
     if resume:
@@ -187,12 +180,7 @@ def _checkpoint_cells(path: Path) -> int:
         return 0
 
 
-def run_driver_kill(
-    rows: int = CHAOS_ROWS,
-    workers: int = 2,
-    n_cells: int = len(CHAOS_SEEDS),
-    timeout: float = 300.0,
-) -> None:
+def run_driver_kill(tmp: Path) -> None:
     """SIGKILL a checkpointed CLI sweep mid-run; ``--resume`` must reproduce it.
 
     The driver is killed with ``SIGKILL`` (no cleanup handlers run) once
@@ -201,93 +189,49 @@ def run_driver_kill(
     only the rest, and the final stdout is byte-identical to an
     uninterrupted run's.
     """
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        clean_ckpt = Path(tmp) / "clean.json"
-        clean = subprocess.run(
-            _cli_command(rows, workers, clean_ckpt, resume=False),
-            capture_output=True, timeout=timeout,
+    n_cells = len(CHAOS_SEEDS)
+    clean = run(
+        _cli_command(tmp / "clean.json", resume=False), timeout=CLI_TIMEOUT
+    )
+    killed_ckpt = tmp / "killed.json"
+    kill_when(
+        _cli_command(killed_ckpt, resume=False),
+        lambda: 1 <= _checkpoint_cells(killed_ckpt) < n_cells,
+        timeout=CLI_TIMEOUT,
+    )
+    survived = _checkpoint_cells(killed_ckpt)
+    if not 1 <= survived < n_cells:
+        raise InternalError(
+            f"driver kill landed outside the sweep: checkpoint holds "
+            f"{survived} of {n_cells} cells (the run was too fast or "
+            "never flushed); nothing was proven"
         )
-        if clean.returncode != 0:
-            raise InternalError(
-                f"clean CLI sweep failed (exit {clean.returncode}): "
-                f"{clean.stderr.decode(errors='replace')}"
-            )
-
-        killed_ckpt = Path(tmp) / "killed.json"
-        victim = subprocess.Popen(
-            _cli_command(rows, workers, killed_ckpt, resume=False),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    resumed = run(_cli_command(killed_ckpt, resume=True), timeout=CLI_TIMEOUT)
+    if resumed.stdout != clean.stdout:
+        raise InternalError(
+            "resumed sweep stdout diverges from the uninterrupted run"
         )
-        deadline = time.monotonic() + timeout
-        try:
-            while True:
-                done = _checkpoint_cells(killed_ckpt)
-                if 1 <= done < n_cells:
-                    victim.send_signal(signal.SIGKILL)
-                    break
-                if victim.poll() is not None or time.monotonic() > deadline:
-                    break
-                time.sleep(0.02)
-        finally:
-            if victim.poll() is None and time.monotonic() > deadline:
-                victim.kill()
-            victim.wait(timeout=30.0)
-
-        survived = _checkpoint_cells(killed_ckpt)
-        if not 1 <= survived < n_cells:
-            raise InternalError(
-                f"driver kill landed outside the sweep: checkpoint holds "
-                f"{survived} of {n_cells} cells (the run was too fast or "
-                "never flushed); nothing was proven"
-            )
-        resumed = subprocess.run(
-            _cli_command(rows, workers, killed_ckpt, resume=True),
-            capture_output=True, timeout=timeout,
-        )
-        if resumed.returncode != 0:
-            raise InternalError(
-                f"resumed CLI sweep failed (exit {resumed.returncode}): "
-                f"{resumed.stderr.decode(errors='replace')}"
-            )
-        if resumed.stdout != clean.stdout:
-            raise InternalError(
-                "resumed sweep stdout diverges from the uninterrupted run"
-            )
     # The SIGKILLed driver never ran its atexit sweep; its segments must
     # have been reclaimed by the shared resource tracker (and the clean +
     # resumed runs must have swept their own on exit).
     _assert_no_shm_leaks("driver SIGKILL + resume")
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``make chaos``."""
-    parser = argparse.ArgumentParser(
-        description="process-backend chaos smoke (crashes, hangs, driver kill)"
-    )
-    parser.add_argument("--rows", type=int, default=CHAOS_ROWS)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--skip-driver-kill", action="store_true",
-        help="only run the worker-chaos sweep (faster)",
-    )
-    args = parser.parse_args(argv)
-
-    table = run_chaos(rows=args.rows, workers=args.workers)
-    print(table)
-    print(
-        f"\nchaos ok: {len(CHAOS_SEEDS)} cells completed on "
-        f"{args.workers} workers under injected os._exit, SIGKILL, and "
-        "past-deadline hang against shared-memory datasets; table matches "
-        "the clean serial run byte for byte; /dev/shm clean after close"
-    )
-    if not args.skip_driver_kill:
-        run_driver_kill(rows=args.rows, workers=args.workers)
-        print(
-            "chaos ok: driver SIGKILLed mid-sweep; --resume reproduced the "
-            "uninterrupted stdout byte for byte; no leaked shared segments"
-        )
-    return 0
+SCENARIOS = (
+    Scenario(
+        "worker-chaos", run_chaos, None,
+        f"{len(CHAOS_SEEDS)} cells completed on {CHAOS_WORKERS} workers under "
+        "injected os._exit, SIGKILL, and past-deadline hang against "
+        "shared-memory datasets; table matches the clean serial run byte for "
+        "byte; /dev/shm clean after close",
+    ),
+    Scenario(
+        "driver-kill", run_driver_kill, None,
+        "driver SIGKILLed mid-sweep; --resume reproduced the uninterrupted "
+        "stdout byte for byte; no leaked shared segments",
+    ),
+)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(run_suite("chaos", SCENARIOS))

@@ -29,8 +29,10 @@ can genuinely die or wedge:
 
 Both are *worker actions*: under the in-process backend they are inert
 (the driver must never kill itself), and the executor ships them to the
-worker as small JSON-safe descriptors via
-:meth:`FaultPlan.worker_action`.
+worker as ``{mode, seconds}`` descriptors via
+:meth:`FaultPlan.worker_action`, which the worker runs with
+:func:`repro.crashpoint.fire` — the same executor an armed crash point
+uses.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.crashpoint import CRASH_EXIT, CRASH_SIGKILL, HANG
 from repro.errors import ResilienceError
 
 
@@ -115,19 +118,6 @@ class SlowFault(Fault):
         self.sleep(self.seconds)
 
 
-#: ``kind`` values of the chaos descriptors shipped to pool workers.
-CHAOS_CRASH = "crash"
-CHAOS_HANG = "hang"
-
-#: ``mode`` values of a :data:`CHAOS_CRASH` descriptor.
-CRASH_EXIT = "exit"
-CRASH_SIGKILL = "sigkill"
-CRASH_MODES = (CRASH_EXIT, CRASH_SIGKILL)
-
-#: Exit code used by ``CrashFault(mode="exit")`` so tests can assert on it.
-CRASH_EXIT_CODE = 23
-
-
 class CrashFault(Fault):
     """Kill the worker process mid-cell on the first ``times`` attempts.
 
@@ -143,9 +133,9 @@ class CrashFault(Fault):
     def __init__(self, times: int = 1, mode: str = CRASH_EXIT) -> None:
         if times < 1:
             raise ResilienceError(f"times must be >= 1, got {times}")
-        if mode not in CRASH_MODES:
+        if mode not in (CRASH_EXIT, CRASH_SIGKILL):
             raise ResilienceError(
-                f"mode must be one of {CRASH_MODES}, got {mode!r}"
+                f"mode must be {CRASH_EXIT!r} or {CRASH_SIGKILL!r}, got {mode!r}"
             )
         self.times = times
         self.mode = mode
@@ -153,7 +143,7 @@ class CrashFault(Fault):
     def worker_action(self, key: tuple[str, ...], attempt: int) -> dict | None:
         """Crash descriptor for attempts ``1..times``, None afterwards."""
         if attempt <= self.times:
-            return {"kind": CHAOS_CRASH, "mode": self.mode}
+            return {"mode": self.mode}
         return None
 
 
@@ -179,7 +169,7 @@ class HangFault(Fault):
     def worker_action(self, key: tuple[str, ...], attempt: int) -> dict | None:
         """Hang descriptor for attempts ``1..times``, None afterwards."""
         if attempt <= self.times:
-            return {"kind": CHAOS_HANG, "seconds": self.seconds}
+            return {"mode": HANG, "seconds": self.seconds}
         return None
 
 

@@ -4,23 +4,24 @@
 serving stack — gateway subprocess, retrying client, registry fetch tier,
 remedy-on-drift — and asserts the contract the docs promise:
 
-* **mid-ingest SIGKILL / crash-exit** — the gateway is armed (via the
-  stream's own ``REPRO_STREAM_CHAOS`` plan, which ``repro serve`` honours
-  exactly like ``repro stream ingest``) to die at the victim batch's
-  ``post-append`` / ``pre-apply`` window, mid-HTTP-request.  The producer's
-  retry loop restarts the server on the same port and re-sends the same
-  batch id; the journalled-but-unacked batch dedups (``duplicate: true``),
-  every one of the 40 batches ends up acked exactly once, and the final
-  ``repro stream replay`` is byte-identical to a direct, uninterrupted
-  ``repro stream ingest`` of the same workload — the gateway adds no bytes
-  of divergence.  Zero acknowledged-but-lost batches: an ack is only ever
-  written after the batch is fsynced *and* applied.
-* **mid-fetch SIGKILL** — ``REPRO_SERVE_CHAOS`` makes the gateway kill
-  itself halfway through a shard file's body.  The client sees a short
-  read (typed :class:`~repro.errors.TransportError`), leaves only a
-  ``.tmp-*`` sibling behind, and a retry against the restarted server
-  installs the store with every sha256 verified, no ``.tmp-*`` leftovers,
-  and no stale leases on either side.
+* **mid-ingest SIGKILL / crash-exit** — the gateway is armed (via
+  ``REPRO_CRASHPOINT`` at the stream's own ``stream.journalled`` crash
+  point, which ``repro serve`` reaches exactly like ``repro stream
+  ingest``) to die between journalling and applying the victim batch,
+  mid-HTTP-request.  The producer's retry loop restarts the server on the
+  same port and re-sends the same batch id; the journalled-but-unacked
+  batch dedups (``duplicate: true``), every one of the 40 batches ends up
+  acked exactly once, and the final ``repro stream replay`` is
+  byte-identical to a direct, uninterrupted ``repro stream ingest`` of the
+  same workload — the gateway adds no bytes of divergence.  Zero
+  acknowledged-but-lost batches: an ack is only ever written after the
+  batch is fsynced *and* applied.
+* **mid-fetch SIGKILL** — the ``serve.fetch_mid_body`` crash point makes
+  the gateway kill itself halfway through a shard file's body.  The client
+  sees a short read (typed :class:`~repro.errors.TransportError`), leaves
+  only a ``.tmp-*`` sibling behind, and a retry against the restarted
+  server installs the store with every sha256 verified, no ``.tmp-*``
+  leftovers, and no stale leases on either side.
 * **remedy-on-drift across a crash** — two ``--remedy`` gateways ingest
   the same workload; one is SIGKILLed at a victim batch and restarted.
   Automated remedy batches are journalled under deterministic ids
@@ -38,15 +39,14 @@ Run directly::
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import signal
 import subprocess
 import sys
-import tempfile
+from functools import partial
 from pathlib import Path
 
+from repro.crashpoint import CRASH_EXIT, CRASH_SIGKILL
 from repro.data.store.format import (
     LABELS_FILE,
     manifest_digest,
@@ -56,25 +56,26 @@ from repro.data.store.format import (
 from repro.data.store.registry import TMP_PREFIX, Registry
 from repro.errors import InternalError, TransportError
 from repro.resilience import RetryPolicy
-from repro.resilience.faults import (
-    CRASH_EXIT,
-    CRASH_EXIT_CODE,
-    CRASH_SIGKILL,
-    CrashFault,
+from repro.resilience.drill import (
+    DRILL_TIMEOUT,
+    Scenario,
+    arm,
+    drill_env,
+    exit_status,
+    run,
+    run_suite,
 )
 from repro.serve.client import GatewayClient
-from repro.serve.gateway import SERVE_CHAOS_ENV
 from repro.serve.remedy import REMEDY_APPLIED
 from repro.stream.chaos import (
-    CHAOS_ENV,
-    CHAOS_TIMEOUT,
     N_BATCHES,
+    SITE,
     VICTIM_BATCH,
+    Workload,
     _assert_no_orphans,
     _init,
     _replay_stdout,
-    run_clean,
-    write_workload,
+    prepare,
 )
 from repro.stream.service import read_batches_file
 
@@ -85,24 +86,16 @@ _RETRY = RetryPolicy(max_attempts=2, base_delay=0.01)
 FETCH_DATASET = "chaosset"
 #: Shard file the mid-fetch kill is armed on (every shard has labels).
 FETCH_VICTIM_FILE = f"{shard_dir_name(1)}/{LABELS_FILE}"
+FETCH_SITE = "serve.fetch_mid_body"
 
 
 # -- server management ------------------------------------------------------------
-
-def _base_env(extra: dict | None) -> dict:
-    env = dict(os.environ)
-    env.pop(CHAOS_ENV, None)
-    env.pop(SERVE_CHAOS_ENV, None)
-    if extra:
-        env.update(extra)
-    return env
-
 
 def _start_server(
     stream_dir: Path,
     *extra_args: str,
     port: int = 0,
-    env_extra: dict | None = None,
+    armed: dict | None = None,
 ) -> tuple[subprocess.Popen, int]:
     """Launch ``repro serve`` and block until its ready line arrives."""
     cmd = [
@@ -113,11 +106,11 @@ def _start_server(
         cmd,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_base_env(env_extra),
+        env=drill_env(armed),
     )
     ready = proc.stdout.readline()
     if not ready:
-        proc.wait(timeout=CHAOS_TIMEOUT)
+        proc.wait(timeout=DRILL_TIMEOUT)
         raise InternalError(
             f"server on {stream_dir} died before its ready line "
             f"(exit {proc.returncode}): "
@@ -128,7 +121,7 @@ def _start_server(
 
 def _reap(proc: subprocess.Popen, want_code: int, context: str) -> None:
     """Collect a killed server and check it died the armed way."""
-    proc.wait(timeout=CHAOS_TIMEOUT)
+    proc.wait(timeout=DRILL_TIMEOUT)
     proc.stdout.close()
     proc.stderr.close()
     if proc.returncode != want_code:
@@ -140,7 +133,7 @@ def _reap(proc: subprocess.Popen, want_code: int, context: str) -> None:
 def _drain(proc: subprocess.Popen, context: str) -> bytes:
     """SIGTERM the server; it must drain, close the journal, and exit 0."""
     proc.send_signal(signal.SIGTERM)
-    out, err = proc.communicate(timeout=CHAOS_TIMEOUT)
+    out, err = proc.communicate(timeout=DRILL_TIMEOUT)
     if proc.returncode != 0:
         raise InternalError(
             f"{context}: drain exited {proc.returncode}: "
@@ -153,13 +146,6 @@ def _drain(proc: subprocess.Popen, context: str) -> bytes:
 
 def _client(port: int) -> GatewayClient:
     return GatewayClient("127.0.0.1", port, retry=_RETRY)
-
-
-def _stream_chaos_env(batch: str, stage: str, mode: str) -> dict:
-    action = CrashFault(times=1, mode=mode).worker_action(("serve",), 1)
-    return {
-        CHAOS_ENV: json.dumps({"batch": batch, "stage": stage, "action": action})
-    }
 
 
 def _ingest_converge(
@@ -200,21 +186,17 @@ def _ingest_converge(
 
 # -- scenarios --------------------------------------------------------------------
 
-def run_gateway_crash(
-    tmp: Path, schema: Path, batches_path: Path, clean: bytes,
-    mode: str, stage: str,
-) -> None:
+def run_gateway_crash(w: Workload, mode: str) -> None:
     """Kill the serving gateway mid-ingest; the retry loop must converge."""
-    context = f"gateway {mode} at {stage}"
-    stream_dir = tmp / f"gw-{mode}-{stage}"
-    _init(stream_dir, schema)
-    batches = read_batches_file(batches_path)
-    want = CRASH_EXIT_CODE if mode == CRASH_EXIT else -signal.SIGKILL
+    context = f"gateway {mode} at {SITE}"
+    stream_dir = w.tmp / f"gw-{mode}"
+    _init(stream_dir, w.schema)
+    batches = read_batches_file(w.batches)
     proc, port = _start_server(
-        stream_dir, env_extra=_stream_chaos_env(VICTIM_BATCH, stage, mode)
+        stream_dir, armed=arm(SITE, VICTIM_BATCH, mode)
     )
     proc, acked, restarts = _ingest_converge(
-        stream_dir, batches, proc, port, want, context
+        stream_dir, batches, proc, port, exit_status(mode), context
     )
     _drain(proc, context)
     if restarts != 1:
@@ -227,32 +209,31 @@ def run_gateway_crash(
         raise InternalError(
             f"{context}: journalled victim batch was not deduped on retry"
         )
-    if _replay_stdout(stream_dir) != clean:
+    if _replay_stdout(stream_dir) != w.clean:
         raise InternalError(
             f"{context}: replay diverges from the direct stream ingest"
         )
     _assert_no_orphans(stream_dir, context)
 
 
-def run_fetch_crash(tmp: Path, schema: Path) -> None:
+def run_fetch_crash(w: Workload) -> None:
     """Kill the gateway halfway through a shard body; retry must install."""
     context = "mid-fetch SIGKILL"
-    source_root = tmp / "registry"
-    subprocess.run(
+    source_root = w.tmp / "registry"
+    run(
         [
             sys.executable, "-m", "repro", "data", "materialize",
             FETCH_DATASET, "--root", str(source_root),
             "--rows", "3000", "--shard-rows", "1000", "--seed", "5",
-        ],
-        check=True, capture_output=True, timeout=CHAOS_TIMEOUT,
+        ]
     )
     source_digest = manifest_digest(read_manifest(source_root / FETCH_DATASET))
-    stream_dir = tmp / "fetch-stream"
-    _init(stream_dir, schema)
-    dest_root = tmp / "fetched"
-    plan = {SERVE_CHAOS_ENV: json.dumps({"file": FETCH_VICTIM_FILE})}
+    stream_dir = w.tmp / "fetch-stream"
+    _init(stream_dir, w.schema)
+    dest_root = w.tmp / "fetched"
     proc, port = _start_server(
-        stream_dir, "--registry", str(source_root), env_extra=plan
+        stream_dir, "--registry", str(source_root),
+        armed=arm(FETCH_SITE, FETCH_VICTIM_FILE, CRASH_SIGKILL),
     )
     try:
         _client(port).fetch_dataset(FETCH_DATASET, dest_root)
@@ -261,7 +242,7 @@ def run_fetch_crash(tmp: Path, schema: Path) -> None:
     else:
         proc.kill()
         raise InternalError(f"{context}: armed fetch kill never fired")
-    _reap(proc, -signal.SIGKILL, context)
+    _reap(proc, exit_status(CRASH_SIGKILL), context)
     leftovers = [p.name for p in dest_root.iterdir() if p.name.startswith(TMP_PREFIX)]
     if not leftovers:
         raise InternalError(
@@ -283,13 +264,13 @@ def run_fetch_crash(tmp: Path, schema: Path) -> None:
     Registry(dest_root).verify(FETCH_DATASET)
 
 
-def run_remedy_crash(tmp: Path, schema: Path, batches_path: Path) -> None:
+def run_remedy_crash(w: Workload) -> None:
     """SIGKILL a --remedy gateway mid-ingest; digests must still converge."""
     context = "remedy crash"
-    batches = read_batches_file(batches_path)
+    batches = read_batches_file(w.batches)
 
-    clean_dir = tmp / "remedy-clean"
-    _init(clean_dir, schema)
+    clean_dir = w.tmp / "remedy-clean"
+    _init(clean_dir, w.schema)
     proc, port = _start_server(clean_dir, "--remedy")
     acks = []
     for batch_id, deltas in batches:
@@ -315,14 +296,14 @@ def run_remedy_crash(tmp: Path, schema: Path, batches_path: Path) -> None:
     victim = quiet[-1]
     clean_replay = _replay_stdout(clean_dir)
 
-    chaos_dir = tmp / "remedy-chaos"
-    _init(chaos_dir, schema)
+    chaos_dir = w.tmp / "remedy-chaos"
+    _init(chaos_dir, w.schema)
     proc, port = _start_server(
-        chaos_dir, "--remedy",
-        env_extra=_stream_chaos_env(victim, "post-append", CRASH_SIGKILL),
+        chaos_dir, "--remedy", armed=arm(SITE, victim, CRASH_SIGKILL)
     )
     proc, acked, restarts = _ingest_converge(
-        chaos_dir, batches, proc, port, -signal.SIGKILL, context, "--remedy"
+        chaos_dir, batches, proc, port, exit_status(CRASH_SIGKILL), context,
+        "--remedy",
     )
     chaos_health = _client(port).health()
     _drain(proc, context)
@@ -349,13 +330,13 @@ def run_remedy_crash(tmp: Path, schema: Path, batches_path: Path) -> None:
         )
 
 
-def run_drain(tmp: Path, schema: Path, batches_path: Path, clean: bytes) -> None:
+def run_drain(w: Workload) -> None:
     """SIGTERM mid-life: drain cleanly, refuse new work, replay clean."""
     context = "graceful drain"
-    stream_dir = tmp / "drain"
-    _init(stream_dir, schema)
+    stream_dir = w.tmp / "drain"
+    _init(stream_dir, w.schema)
     proc, port = _start_server(stream_dir)
-    for batch_id, deltas in read_batches_file(batches_path):
+    for batch_id, deltas in read_batches_file(w.batches):
         _client(port).ingest(batch_id, deltas)
     _drain(proc, context)
     try:
@@ -364,55 +345,41 @@ def run_drain(tmp: Path, schema: Path, batches_path: Path, clean: bytes) -> None
         pass
     else:
         raise InternalError(f"{context}: drained server still answers")
-    if _replay_stdout(stream_dir) != clean:
+    if _replay_stdout(stream_dir) != w.clean:
         raise InternalError(
             f"{context}: replay after drain diverges from direct ingest"
         )
     _assert_no_orphans(stream_dir, context)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``make serve-chaos``."""
-    parser = argparse.ArgumentParser(
-        description="audit-gateway chaos smoke (kills mid-ingest, mid-fetch, "
-        "mid-remedy; graceful drain)"
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-
-    with tempfile.TemporaryDirectory(prefix="repro-serve-chaos-") as tmpname:
-        tmp = Path(tmpname)
-        schema, batches = write_workload(tmp, seed=args.seed)
-        clean = run_clean(tmp, schema, batches)
-
-        run_gateway_crash(
-            tmp, schema, batches, clean, CRASH_SIGKILL, "post-append"
-        )
-        run_gateway_crash(tmp, schema, batches, clean, CRASH_EXIT, "pre-apply")
-        print(
-            "serve-chaos ok: SIGKILL/exit mid-ingest recovered; every batch "
-            "acked once, victim deduped, replay byte-identical to direct "
-            "ingest, no orphan segments"
-        )
-        run_fetch_crash(tmp, schema)
-        print(
-            "serve-chaos ok: SIGKILL mid-fetch left only a .tmp-* staging "
-            "dir; retry installed the store sha256-verified with no "
-            "leftovers and no stale leases"
-        )
-        run_remedy_crash(tmp, schema, batches)
-        print(
-            "serve-chaos ok: SIGKILLed --remedy gateway converged to the "
-            "uninterrupted run's digest; automated remedies replayed "
-            "byte-identically"
-        )
-        run_drain(tmp, schema, batches, clean)
-        print(
-            "serve-chaos ok: SIGTERM drained cleanly (exit 0), the port went "
-            "quiet, and the journal replays clean"
-        )
-    return 0
+SCENARIOS = (
+    Scenario(
+        "gateway-sigkill", partial(run_gateway_crash, mode=CRASH_SIGKILL), SITE,
+        "SIGKILL mid-ingest recovered; every batch acked once, victim "
+        "deduped, replay byte-identical to direct ingest, no orphan segments",
+    ),
+    Scenario(
+        "gateway-exit", partial(run_gateway_crash, mode=CRASH_EXIT), SITE,
+        "os._exit mid-ingest recovered; every batch acked once, victim "
+        "deduped, replay byte-identical to direct ingest, no orphan segments",
+    ),
+    Scenario(
+        "fetch-crash", run_fetch_crash, FETCH_SITE,
+        "SIGKILL mid-fetch left only a .tmp-* staging dir; retry installed "
+        "the store sha256-verified with no leftovers and no stale leases",
+    ),
+    Scenario(
+        "remedy-crash", run_remedy_crash, SITE,
+        "SIGKILLed --remedy gateway converged to the uninterrupted run's "
+        "digest; automated remedies replayed byte-identically",
+    ),
+    Scenario(
+        "drain", run_drain, None,
+        "SIGTERM drained cleanly (exit 0), the port went quiet, and the "
+        "journal replays clean",
+    ),
+)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(run_suite("serve-chaos", SCENARIOS, prepare))

@@ -45,13 +45,13 @@ not from interleaved appends — the sha chain stays linear.
 from __future__ import annotations
 
 import json
-import os
 import signal
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from repro.crashpoint import crashpoint
 from repro.data.store.format import manifest_digest, read_manifest
 from repro.errors import (
     AdmissionError,
@@ -67,12 +67,6 @@ from repro.serve.protocol import canonical_json_bytes, error_payload, registry_p
 from repro.serve.remedy import RemedyController
 from repro.stream.deltas import deltas_from_records
 from repro.stream.monitor import ALARM_CLEAR, ALARM_RAISE
-
-#: Environment variable arming the fetch-tier chaos plan for one server
-#: process: ``{"file": "shard-00000/c0000.npy"}`` makes the gateway
-#: SIGKILL itself after serving *half* of that file's bytes — the
-#: ``serve-chaos`` mid-fetch drill.
-SERVE_CHAOS_ENV = "REPRO_SERVE_CHAOS"
 
 #: Ingest deadline header; value in (fractional) seconds.
 DEADLINE_HEADER = "X-Repro-Deadline"
@@ -104,17 +98,6 @@ class GatewayConfig:
             )
 
 
-def _fetch_chaos_plan() -> dict | None:
-    """The armed mid-fetch chaos plan, if any (see :data:`SERVE_CHAOS_ENV`)."""
-    spec = os.environ.get(SERVE_CHAOS_ENV)
-    if not spec:
-        return None
-    plan = json.loads(spec)
-    if not isinstance(plan, dict) or "file" not in plan:
-        raise ServeError(f"malformed {SERVE_CHAOS_ENV} plan: {spec!r}")
-    return plan
-
-
 class AuditGateway:
     """HTTP front for one stream directory and (optionally) one registry."""
 
@@ -136,7 +119,6 @@ class AuditGateway:
         self._shed = 0
         self._draining = False
         self._serve_thread: threading.Thread | None = None
-        self._fetch_chaos = _fetch_chaos_plan()
         gateway = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -382,14 +364,12 @@ class AuditGateway:
         handler.send_header("Content-Length", str(len(data)))
         handler.send_header(SHA_HEADER, meta["sha256"])
         handler.end_headers()
-        plan = self._fetch_chaos
-        if plan is not None and plan["file"] == f"{shard_dir}/{fname}":
-            # Mid-fetch chaos: half the body, then death by signal — the
-            # client sees a short read and must converge by retrying.
-            handler.wfile.write(data[: len(data) // 2])
-            handler.wfile.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-        handler.wfile.write(data)
+        half = len(data) // 2
+        handler.wfile.write(data[:half])
+        # A crash here is a short read at the client, which must converge
+        # by retrying against the restarted gateway.
+        crashpoint("serve.fetch_mid_body", f"{shard_dir}/{fname}")
+        handler.wfile.write(data[half:])
         obs.count("serve.shard_bytes", len(data))
         return True
 
@@ -442,6 +422,5 @@ __all__ = [
     "AuditGateway",
     "DEADLINE_HEADER",
     "GatewayConfig",
-    "SERVE_CHAOS_ENV",
     "SHA_HEADER",
 ]

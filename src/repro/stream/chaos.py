@@ -1,4 +1,4 @@
-"""Chaos smoke for the streaming auditor: crash-safe ingestion, proven.
+"""Chaos drills for the streaming auditor: crash-safe ingestion, proven.
 
 ``make stream-chaos`` (and the CI ``stream-chaos`` stage) batters the
 stream write path and asserts the recovery contract: however the driver
@@ -6,13 +6,9 @@ dies mid-ingestion, a restart must replay the journal to **byte-identical
 audited state** — same watermark, same region reports, same alarm set,
 same digest — as a run that was never interrupted.
 
-The kill sites are chosen deterministically via the ``REPRO_STREAM_CHAOS``
-environment variable: a JSON plan ``{"batch": id, "stage": stage,
-"action": descriptor}`` arms a :class:`~repro.resilience.faults.CrashFault`
-/ :class:`~repro.resilience.faults.HangFault` worker-action descriptor at
-one of the write path's two crash windows (``post-append``: journalled but
-not applied; ``pre-apply``: about to fold into the in-memory state).  The
-scenarios:
+The kills land at the ``stream.journalled`` crash point (the victim batch
+is fsynced in the journal but not yet applied), armed per subprocess via
+``REPRO_CRASHPOINT`` (see docs/resilience.md, "Crash points and drills"):
 
 * **crash-exit** — the driver ``os._exit``\\ s right after the fsynced
   append; the restart must dedup the journalled batch, not double-apply;
@@ -33,84 +29,51 @@ Run directly::
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import signal
-import subprocess
 import sys
-import tempfile
-import time
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
+from repro.crashpoint import CRASH_EXIT, CRASH_SIGKILL, HANG
 from repro.data.io import atomic_write_json
 from repro.errors import InternalError
-from repro.resilience.faults import (
-    CHAOS_CRASH,
-    CHAOS_HANG,
-    CRASH_EXIT,
-    CRASH_EXIT_CODE,
-    CRASH_SIGKILL,
-    CrashFault,
-    HangFault,
+from repro.resilience.drill import (
+    DRILL_TIMEOUT,
+    Scenario,
+    arm,
+    exit_status,
+    kill_when,
+    run,
+    run_suite,
 )
 from repro.stream.journal import _SEGMENT_RE, CURRENT_FILE
 
-#: Environment variable carrying the armed chaos plan for one subprocess.
-CHAOS_ENV = "REPRO_STREAM_CHAOS"
-
 N_BATCHES = 40
 DELTAS_PER_BATCH = 50
-#: Batch the chaos plans arm; mid-stream so both sides are non-trivial.
+WORKLOAD_SEED = 7
+#: Batch the drills arm; mid-stream so both sides are non-trivial.
 VICTIM_BATCH = "b0020"
-CHAOS_TIMEOUT = 120.0
+#: The crash window every stream drill arms: journalled, not yet applied.
+SITE = "stream.journalled"
 
 
-def execute_chaos_action(action: dict) -> None:
-    """Run one worker-action descriptor against the current process.
+@dataclass(frozen=True)
+class Workload:
+    """The shared inputs of every stream and gateway drill."""
 
-    Mirrors the process pool's executor: crash descriptors never return,
-    hang descriptors sleep (so an external killer can land deterministically).
-    """
-    kind = action.get("kind")
-    if kind == CHAOS_CRASH:
-        if action.get("mode") == CRASH_SIGKILL:
-            os.kill(os.getpid(), signal.SIGKILL)
-        os._exit(CRASH_EXIT_CODE)
-    if kind == CHAOS_HANG:
-        time.sleep(float(action["seconds"]))
-        return
-    raise InternalError(f"unknown stream chaos action {action!r}")
-
-
-def chaos_hook_from_env() -> Callable[[str, str], None] | None:
-    """The service chaos hook armed by ``REPRO_STREAM_CHAOS``, if any.
-
-    The ingest CLI consults this so a *subprocess* can be made to die at
-    an exact batch and write-path stage without patching any code.
-    """
-    spec = os.environ.get(CHAOS_ENV)
-    if not spec:
-        return None
-    try:
-        plan = json.loads(spec)
-        batch, stage, action = plan["batch"], plan["stage"], plan["action"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InternalError(f"malformed {CHAOS_ENV} plan: {exc}") from exc
-
-    def hook(batch_id: str, at_stage: str) -> None:
-        if batch_id == batch and at_stage == stage:
-            execute_chaos_action(action)
-
-    return hook
+    tmp: Path
+    schema: Path
+    batches: Path
+    #: ``stream replay`` stdout of the uninterrupted ingest: the oracle.
+    clean: bytes
 
 
 # -- workload generation ----------------------------------------------------------
 
-def write_workload(directory: Path, seed: int = 7) -> tuple[Path, Path]:
+def write_workload(directory: Path) -> tuple[Path, Path]:
     """Write the schema + batches files the scenarios share.
 
     The workload is seeded and id-stable: mostly inserts over three
@@ -135,7 +98,7 @@ def write_workload(directory: Path, seed: int = 7) -> tuple[Path, Path]:
             "protected": ["age", "race", "sex"],
         },
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(WORKLOAD_SEED)
     batches_path = directory / "batches.jsonl"
     alive: list[int] = []
     next_row = 0
@@ -173,26 +136,8 @@ def _stream_cmd(*tail: str) -> list[str]:
     return [sys.executable, "-m", "repro", "stream", *tail]
 
 
-def _run(
-    cmd: list[str], env_extra: dict | None = None, check: bool = True
-) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env.pop(CHAOS_ENV, None)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        cmd, capture_output=True, env=env, timeout=CHAOS_TIMEOUT
-    )
-    if check and proc.returncode != 0:
-        raise InternalError(
-            f"command {cmd[3:]} failed (exit {proc.returncode}): "
-            f"{proc.stderr.decode(errors='replace')}"
-        )
-    return proc
-
-
 def _init(stream_dir: Path, schema: Path, segment_bytes: int = 8192) -> None:
-    _run(
+    run(
         _stream_cmd(
             "init", str(stream_dir), "--schema", str(schema),
             "--tau-c", "0.1", "--k", "10",
@@ -201,8 +146,12 @@ def _init(stream_dir: Path, schema: Path, segment_bytes: int = 8192) -> None:
     )
 
 
+def _ingest(stream_dir: Path, batches: Path) -> list[str]:
+    return _stream_cmd("ingest", str(stream_dir), str(batches))
+
+
 def _replay_stdout(stream_dir: Path) -> bytes:
-    return _run(_stream_cmd("replay", str(stream_dir))).stdout
+    return run(_stream_cmd("replay", str(stream_dir))).stdout
 
 
 def _assert_no_orphans(stream_dir: Path, context: str) -> None:
@@ -230,44 +179,40 @@ def _assert_recovered(
     _assert_no_orphans(stream_dir, context)
 
 
-def _chaos_env(stage: str, action: dict) -> dict:
-    return {
-        CHAOS_ENV: json.dumps(
-            {"batch": VICTIM_BATCH, "stage": stage, "action": action}
+def _crash_ingest(stream_dir: Path, batches: Path, mode: str, context: str) -> None:
+    """Ingest with the victim batch armed to crash; it must die that way."""
+    proc = run(
+        _ingest(stream_dir, batches), arm(SITE, VICTIM_BATCH, mode), check=False
+    )
+    if proc.returncode != exit_status(mode):
+        raise InternalError(
+            f"armed {context} exited {proc.returncode}, "
+            f"expected {exit_status(mode)}"
         )
-    }
+
+
+def prepare(tmp: Path) -> Workload:
+    """Write the workload and capture the uninterrupted run's replay."""
+    schema, batches = write_workload(tmp)
+    stream_dir = tmp / "clean"
+    _init(stream_dir, schema)
+    run(_ingest(stream_dir, batches))
+    clean = _replay_stdout(stream_dir)
+    if b"digest" not in clean:
+        raise InternalError("clean replay printed no state digest")
+    return Workload(tmp, schema, batches, clean)
 
 
 # -- scenarios --------------------------------------------------------------------
 
-def run_clean(tmp: Path, schema: Path, batches: Path) -> bytes:
-    """The oracle run: uninterrupted ingest, replay output captured."""
-    stream_dir = tmp / "clean"
-    _init(stream_dir, schema)
-    _run(_stream_cmd("ingest", str(stream_dir), str(batches)))
-    return _replay_stdout(stream_dir)
-
-
-def run_crash(
-    tmp: Path, schema: Path, batches: Path, clean: bytes, mode: str, stage: str
-) -> None:
-    """Kill the ingester via an armed CrashFault; restart must converge."""
-    stream_dir = tmp / f"crash-{mode}-{stage}"
-    _init(stream_dir, schema)
-    action = CrashFault(times=1, mode=mode).worker_action(("stream",), 1)
-    proc = _run(
-        _stream_cmd("ingest", str(stream_dir), str(batches)),
-        env_extra=_chaos_env(stage, action),
-        check=False,
-    )
-    want = CRASH_EXIT_CODE if mode == CRASH_EXIT else -signal.SIGKILL
-    if proc.returncode != want:
-        raise InternalError(
-            f"armed {mode} crash at {stage} exited {proc.returncode}, "
-            f"expected {want}"
-        )
-    _run(_stream_cmd("ingest", str(stream_dir), str(batches)))
-    _assert_recovered(stream_dir, clean, f"{mode} crash at {stage}")
+def run_crash(w: Workload, mode: str) -> None:
+    """Kill the ingester at the armed batch; restart must converge."""
+    context = f"{mode} crash at {SITE}"
+    stream_dir = w.tmp / f"crash-{mode}"
+    _init(stream_dir, w.schema)
+    _crash_ingest(stream_dir, w.batches, mode, context)
+    run(_ingest(stream_dir, w.batches))
+    _assert_recovered(stream_dir, w.clean, context)
 
 
 def _journal_holds_batch(stream_dir: Path, batch_id: str) -> bool:
@@ -278,47 +223,24 @@ def _journal_holds_batch(stream_dir: Path, batch_id: str) -> bool:
     return False
 
 
-def run_hang_kill(tmp: Path, schema: Path, batches: Path, clean: bytes) -> None:
+def run_hang_kill(w: Workload) -> None:
     """Wedge the driver between append and apply, SIGKILL it from outside."""
-    stream_dir = tmp / "hang-kill"
-    _init(stream_dir, schema)
-    action = HangFault(seconds=10 * CHAOS_TIMEOUT, times=1).worker_action(
-        ("stream",), 1
+    stream_dir = w.tmp / "hang-kill"
+    _init(stream_dir, w.schema)
+    kill_when(
+        _ingest(stream_dir, w.batches),
+        lambda: _journal_holds_batch(stream_dir, VICTIM_BATCH),
+        arm(SITE, VICTIM_BATCH, HANG, seconds=10 * DRILL_TIMEOUT),
     )
-    env = dict(os.environ)
-    env.update(_chaos_env("pre-apply", action))
-    victim = subprocess.Popen(
-        _stream_cmd("ingest", str(stream_dir), str(batches)),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
-    )
-    deadline = time.monotonic() + CHAOS_TIMEOUT
-    try:
-        while not _journal_holds_batch(stream_dir, VICTIM_BATCH):
-            if victim.poll() is not None:
-                raise InternalError(
-                    "hung ingester exited before the armed batch was "
-                    f"journalled (exit {victim.returncode})"
-                )
-            if time.monotonic() > deadline:
-                raise InternalError(
-                    "armed batch never reached the journal; the hang window "
-                    "was not entered"
-                )
-            time.sleep(0.02)
-        victim.send_signal(signal.SIGKILL)
-    finally:
-        if victim.poll() is None and time.monotonic() > deadline:
-            victim.kill()
-        victim.wait(timeout=30.0)
-    _run(_stream_cmd("ingest", str(stream_dir), str(batches)))
-    _assert_recovered(stream_dir, clean, "hang + external SIGKILL")
+    run(_ingest(stream_dir, w.batches))
+    _assert_recovered(stream_dir, w.clean, "hang + external SIGKILL")
 
 
-def run_torn_tail(tmp: Path, schema: Path, batches: Path, clean: bytes) -> None:
+def run_torn_tail(w: Workload) -> None:
     """Chop the last journal record mid-line; recovery must clip and re-ingest."""
-    stream_dir = tmp / "torn"
-    _init(stream_dir, schema)
-    _run(_stream_cmd("ingest", str(stream_dir), str(batches)))
+    stream_dir = w.tmp / "torn"
+    _init(stream_dir, w.schema)
+    run(_ingest(stream_dir, w.batches))
     segments = sorted(
         p for p in stream_dir.iterdir() if _SEGMENT_RE.match(p.name)
     )
@@ -329,89 +251,67 @@ def run_torn_tail(tmp: Path, schema: Path, batches: Path, clean: bytes) -> None:
     # final segment degenerates to a torn-at-zero, equally valid.)
     keep = cut + 1 + (len(data) - cut) // 2 if cut >= 0 else len(data) // 2
     last.write_bytes(data[:keep])
-    _run(_stream_cmd("ingest", str(stream_dir), str(batches)))
-    _assert_recovered(stream_dir, clean, "torn final record")
+    run(_ingest(stream_dir, w.batches))
+    _assert_recovered(stream_dir, w.clean, "torn final record")
 
 
-def run_compaction_crash(
-    tmp: Path, schema: Path, batches: Path, seed: int
-) -> None:
+def run_compaction_crash(w: Workload) -> None:
     """Compact mid-stream, then crash; replay across the rebase must match.
 
     Both the oracle and the victim compact after the same batch prefix, so
     their journals rebase at the same seq and the byte-compare stays exact.
     """
-    all_lines = batches.read_text(encoding="utf-8").splitlines()
-    first = tmp / "first-half.jsonl"
-    second = tmp / "second-half.jsonl"
+    all_lines = w.batches.read_text(encoding="utf-8").splitlines()
+    first = w.tmp / "first-half.jsonl"
+    second = w.tmp / "second-half.jsonl"
     first.write_text("\n".join(all_lines[: N_BATCHES // 2]) + "\n")
     second.write_text("\n".join(all_lines[N_BATCHES // 2:]) + "\n")
 
-    oracle_dir = tmp / "compact-clean"
-    _init(oracle_dir, schema)
-    _run(_stream_cmd("ingest", str(oracle_dir), str(first)))
-    _run(_stream_cmd("compact", str(oracle_dir)))
-    _run(_stream_cmd("ingest", str(oracle_dir), str(second)))
+    def compacted(name: str) -> Path:
+        stream_dir = w.tmp / name
+        _init(stream_dir, w.schema)
+        run(_ingest(stream_dir, first))
+        run(_stream_cmd("compact", str(stream_dir)))
+        return stream_dir
+
+    oracle_dir = compacted("compact-clean")
+    run(_ingest(oracle_dir, second))
     oracle = _replay_stdout(oracle_dir)
 
-    victim_dir = tmp / "compact-crash"
-    _init(victim_dir, schema)
-    _run(_stream_cmd("ingest", str(victim_dir), str(first)))
-    _run(_stream_cmd("compact", str(victim_dir)))
-    action = CrashFault(times=1, mode=CRASH_EXIT).worker_action(("stream",), 1)
-    proc = _run(
-        _stream_cmd("ingest", str(victim_dir), str(second)),
-        env_extra=_chaos_env("post-append", action),
-        check=False,
-    )
-    if proc.returncode != CRASH_EXIT_CODE:
-        raise InternalError(
-            f"armed crash after compaction exited {proc.returncode}, "
-            f"expected {CRASH_EXIT_CODE}"
-        )
-    _run(_stream_cmd("ingest", str(victim_dir), str(second)))
+    victim_dir = compacted("compact-crash")
+    _crash_ingest(victim_dir, second, CRASH_EXIT, "crash after compaction")
+    run(_ingest(victim_dir, second))
     _assert_recovered(victim_dir, oracle, "crash after compaction")
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``make stream-chaos``."""
-    parser = argparse.ArgumentParser(
-        description="streaming-auditor chaos smoke (crashes, kills, torn tails)"
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-
-    with tempfile.TemporaryDirectory(prefix="repro-stream-chaos-") as tmpname:
-        tmp = Path(tmpname)
-        schema, batches = write_workload(tmp, seed=args.seed)
-        clean = run_clean(tmp, schema, batches)
-        if b"digest" not in clean:
-            raise InternalError("clean replay printed no state digest")
-
-        run_crash(tmp, schema, batches, clean, CRASH_EXIT, "post-append")
-        run_crash(tmp, schema, batches, clean, CRASH_SIGKILL, "post-append")
-        run_crash(tmp, schema, batches, clean, CRASH_EXIT, "pre-apply")
-        print(
-            "stream-chaos ok: exit/SIGKILL crashes at post-append and "
-            "pre-apply recovered to the clean replay byte for byte"
-        )
-        run_hang_kill(tmp, schema, batches, clean)
-        print(
-            "stream-chaos ok: hung driver SIGKILLed between append and "
-            "apply; restart converged with no orphan segments"
-        )
-        run_torn_tail(tmp, schema, batches, clean)
-        print(
-            "stream-chaos ok: torn final record clipped on recovery and "
-            "re-ingested; replay matches the clean run"
-        )
-        run_compaction_crash(tmp, schema, batches, seed=args.seed)
-        print(
-            "stream-chaos ok: crash after a generation flip replayed across "
-            "the rebase to the oracle's bytes; old generation fully swept"
-        )
-    return 0
+SCENARIOS = (
+    Scenario(
+        "crash-exit", partial(run_crash, mode=CRASH_EXIT), SITE,
+        "os._exit between journal and apply recovered to the clean replay "
+        "byte for byte",
+    ),
+    Scenario(
+        "crash-sigkill", partial(run_crash, mode=CRASH_SIGKILL), SITE,
+        "SIGKILL between journal and apply recovered to the clean replay "
+        "byte for byte",
+    ),
+    Scenario(
+        "hang-kill", run_hang_kill, SITE,
+        "hung driver SIGKILLed between append and apply; restart converged "
+        "with no orphan segments",
+    ),
+    Scenario(
+        "torn-tail", run_torn_tail, None,
+        "torn final record clipped on recovery and re-ingested; replay "
+        "matches the clean run",
+    ),
+    Scenario(
+        "compaction-crash", run_compaction_crash, SITE,
+        "crash after a generation flip replayed across the rebase to the "
+        "oracle's bytes; old generation fully swept",
+    ),
+)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(run_suite("stream-chaos", SCENARIOS, prepare))

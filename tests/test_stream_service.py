@@ -7,6 +7,7 @@ import pytest
 from repro.data.schema import Column, Schema
 from repro.errors import BackpressureError, JournalError, StreamError
 from repro.stream.deltas import DeleteDelta, InsertDelta
+from repro.stream import service as service_mod
 from repro.stream.journal import StreamConfig
 from repro.stream.service import StreamService
 
@@ -107,20 +108,20 @@ class TestQuarantine:
 
 
 class TestWatermarkAndRecovery:
-    def test_watermark_advances_only_after_apply(self, tmp_path):
-        stages = []
+    def test_watermark_advances_only_after_apply(self, tmp_path, monkeypatch):
+        windows = []
 
-        def hook(batch_id, stage):
-            stages.append((stage, service.auditor.watermark))
+        def crashpoint(site, key):
+            windows.append(
+                (site, key, service.log.has_batch(key), service.auditor.watermark)
+            )
 
-        service = StreamService.create(
-            tmp_path / "s", make_config(), chaos_hook=hook
-        )
+        monkeypatch.setattr(service_mod, "crashpoint", crashpoint)
+        service = StreamService.create(tmp_path / "s", make_config())
         service.ingest([("b0", [insert(0, 0, 1)])])
-        # At both chaos windows the batch was journalled but the watermark
+        # At the crash window the batch was journalled but the watermark
         # still points before it — readers cannot see a half-applied batch.
-        assert [s for s, _ in stages] == ["post-append", "pre-apply"]
-        assert all(mark == 0 for _, mark in stages)
+        assert windows == [("stream.journalled", "b0", True, 0)]
         assert service.auditor.watermark == 1
         service.close()
 
