@@ -3,29 +3,31 @@
 Runs the repository's quality gates in order, fail-fast::
 
     lint               tree hygiene (no tracked bytecode/cache junk), then
-                       static analysis (per-file R001-R008 + whole-program
-                       R009-R015) against the baseline, through the
-                       incremental cache (missing/corrupt cache = cold run);
+                       static analysis (per-file R001-R008, R015 and R016
+                       plus whole-program R009-R014) against the baseline,
+                       through the incremental cache (missing/corrupt
+                       cache = cold run);
                        its wall time lands in the status table like every
                        stage's
     tier1              fast pytest suite (slow-marked modules skipped)
     experiments-smoke  resilience smoke sweep over the experiment harnesses
     chaos              strict no-baseline lint of the resilience/obs
-                       subsystems, then the process-backend sweep under
+                       subsystems (every rule but R014, like every strict
+                       slice below), then the process-backend sweep under
                        crashes/hangs/driver kill
     stream-chaos       the streaming auditor's crash/hang/torn-tail drills:
                        every scenario must recover to a byte-identical
                        replay with no orphaned segments
     data-verify        the sharded dataset plane's gates: strict
-                       no-baseline lint of the store package (R015
-                       included), the data-chaos drills (bit flips, torn
-                       materialize, lease pinning), then the hypothesis
+                       no-baseline lint of the store package, the
+                       data-chaos drills (bit flips, torn materialize,
+                       lease pinning), then the hypothesis
                        property suite proving sharded == in-memory byte
                        for byte
     serve-chaos        the audit gateway's process-level drills: strict
-                       no-baseline lint of the serve package (R015 and
-                       R016 included), then SIGKILL mid-ingest and
-                       mid-fetch, a remedy crash, and a SIGTERM drain —
+                       no-baseline lint of the serve package, then
+                       SIGKILL mid-ingest and mid-fetch, a remedy crash,
+                       and a SIGTERM drain —
                        every drill must converge to a byte-identical
                        replay with zero acked-but-lost batches
     examples           every script in examples/ end to end
@@ -59,10 +61,16 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analysis import RULE_IDS  # noqa: E402
 from repro.experiments.reporting import format_table  # noqa: E402
 from repro.obs import Tracer, tracing  # noqa: E402
 
 PYTHON = sys.executable
+
+#: The rule list of every strict (no-baseline) subsystem lint: every rule
+#: but R014, whose dead-export verdict needs the consumers outside the
+#: slice.  ``STRICT_RULES`` in the Makefile mirrors it.
+STRICT_RULES = ",".join(rule for rule in RULE_IDS if rule != "R014")
 
 
 def stage_commands(
@@ -95,14 +103,10 @@ def stage_commands(
             "chaos",
             [
                 # Strict lint first: new resilience/obs code must be clean
-                # outright — no baseline, inline suppressions only.  R014
-                # is excluded (dead-export detection needs the consumers,
-                # which live outside the slice).
+                # outright — no baseline, inline suppressions only.
                 [PYTHON, "-m", "repro.analysis",
                  "src/repro/resilience", "src/repro/obs",
-                 "--rules",
-                 "R001,R002,R003,R004,R005,R006,R007,R008,"
-                 "R009,R010,R011,R012,R013"],
+                 "--rules", STRICT_RULES],
                 [PYTHON, "-m", "repro.resilience.chaos"],
             ],
         ),
@@ -114,13 +118,9 @@ def stage_commands(
             "data-verify",
             [
                 # Strict lint first: the store package must be clean
-                # outright, including R015 (no raw mmap loads or manifest
-                # writes may creep in anywhere, least of all here).  R014
-                # is excluded for the usual slice reason.
+                # outright.
                 [PYTHON, "-m", "repro.analysis", "src/repro/data/store",
-                 "--rules",
-                 "R001,R002,R003,R004,R005,R006,R007,R008,"
-                 "R009,R010,R011,R012,R013,R015"],
+                 "--rules", STRICT_RULES],
                 # Bit flips, truncation, SIGKILLed materialize, lease
                 # pinning — the registry's loud-and-atomic contracts.
                 [PYTHON, "-m", "repro.data.chaos"],
@@ -134,16 +134,9 @@ def stage_commands(
             "serve-chaos",
             [
                 # Strict lint first: the serving front must be clean
-                # outright, including R015 (its fetch tier hands all store
-                # reads/writes to the store package) and R016 (it is the
-                # one place raw sockets are allowed — the rule checks the
-                # rest of the tree, this run proves the package itself
-                # carries no unrelated findings).  R014 is excluded for
-                # the usual slice reason.
+                # outright.
                 [PYTHON, "-m", "repro.analysis", "src/repro/serve",
-                 "--rules",
-                 "R001,R002,R003,R004,R005,R006,R007,R008,"
-                 "R009,R010,R011,R012,R013,R015,R016"],
+                 "--rules", STRICT_RULES],
                 # SIGKILL mid-ingest and mid-fetch, a remedy crash, and a
                 # SIGTERM drain — restart + client retry must converge to
                 # a byte-identical replay with zero acked-but-lost batches

@@ -7,9 +7,11 @@ display path and guarded by
 
 * the file's content sha256 (edit -> miss; rename -> new key; delete ->
   entry dropped at save time because only files seen this run persist);
-* a **salt** over the cache schema version, the active rule ids, and the
+* a **salt** over the cache schema version, the active rule ids, the
   project's export surface — R005's per-file verdicts depend on every
-  ``__all__`` in the tree, so any export change invalidates everything.
+  ``__all__`` in the tree, so any export change invalidates everything —
+  and a digest of the analyzer's own source, so a cache warmed by a
+  different analyzer never serves that analyzer's verdicts or facts.
 
 Consumer reference sets (tests/examples/benchmarks/scripts token scans
 for R014) are cached the same way under a separate namespace.  Writes go
@@ -20,6 +22,7 @@ treated as cold, never as an error — the cold path is the fallback.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -35,11 +38,23 @@ def file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@functools.cache
+def analyzer_digest() -> str:
+    """sha256 over the source files of the ``repro.analysis`` package."""
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def cache_salt(rule_ids: Sequence[str], exported_names: Sequence[str]) -> str:
-    """Salt binding entries to the rule set and project export surface."""
+    """Salt binding entries to the analyzer, rule set and export surface."""
     blob = json.dumps(
         {
             "version": CACHE_VERSION,
+            "analyzer": analyzer_digest(),
             "rules": sorted(rule_ids),
             "exports": sorted(exported_names),
         },

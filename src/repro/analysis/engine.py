@@ -120,10 +120,13 @@ class FileContext:
         """True when the file under analysis is a package ``__init__.py``."""
         return Path(self.path).name == "__init__.py"
 
-    def in_subpackage(self, *names: str) -> bool:
-        """True when any path component matches one of ``names``."""
-        parts = set(Path(self.path).parts)
-        return any(name in parts for name in names)
+    def in_package(self, *parts: str) -> bool:
+        """True when ``parts`` occur as consecutive components of the path."""
+        path = Path(self.path).parts
+        return any(
+            path[i : i + len(parts)] == parts
+            for i in range(len(path) - len(parts) + 1)
+        )
 
 
 class Rule:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.analysis.engine import module_all, suppressed_rules_by_line
 
@@ -352,6 +352,66 @@ def _resolve_relative(module: str, is_init: bool, level: int, target: str | None
     return base
 
 
+def rebind(dotted: str | None, binding: Callable[[str], str | None]) -> str | None:
+    """Absolutise ``dotted`` by replacing its head with what the head binds.
+
+    ``np.random.rand`` with ``binding("np") == "numpy"`` becomes
+    ``numpy.random.rand``.  None when ``dotted`` is None or its head is
+    unbound (a builtin, a local, an attribute of a call result).
+    """
+    if dotted is None:
+        return None
+    head, _, tail = dotted.partition(".")
+    target = binding(head)
+    if target is None:
+        return None
+    return f"{target}.{tail}" if tail else target
+
+
+class ImportBinding(NamedTuple):
+    """One name bound by an import statement."""
+
+    node: ast.Import | ast.ImportFrom
+    #: the name bound in the importing module.
+    local: str
+    #: the absolute dotted path that name refers to.
+    target: str
+    #: the module or member the statement imports.
+    imported: str
+
+
+def import_bindings(
+    tree: ast.AST, module: str | None = None, is_init: bool = False
+) -> Iterator[ImportBinding]:
+    """Every name any import in ``tree`` binds, with Python's semantics.
+
+    ``import a.b`` binds ``a`` (to ``a``), ``import a.b as x`` binds ``x``
+    to ``a.b``, and ``from a import b as c`` binds ``c`` to ``a.b``.
+    Relative imports are absolutised against ``module`` when it is given
+    and skipped otherwise; star imports bind nothing nameable.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    yield ImportBinding(node, alias.asname, alias.name, alias.name)
+                else:
+                    head = alias.name.split(".")[0]
+                    yield ImportBinding(node, head, head, alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                base = node.module or ""
+            elif module is not None:
+                base = _resolve_relative(module, is_init, node.level, node.module)
+            else:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                target = f"{base}.{alias.name}" if base else alias.name
+                yield ImportBinding(node, alias.asname or alias.name, target, target)
+
+
 def _default_kind(node: ast.AST | None) -> str:
     """Classify a parameter default for R010's picklability check."""
     if node is None:
@@ -574,26 +634,8 @@ def extract_module_facts(
     """Extract one module's :class:`ModuleFacts` from its parsed tree."""
     is_init = Path(path).name == "__init__.py"
 
-    bindings: list[tuple[str, str]] = []
+    bindings = [(b.local, b.target) for b in import_bindings(tree, module, is_init)]
     import_lines: list[CallSite] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    bindings.append((alias.asname, alias.name))
-                else:
-                    head = alias.name.split(".")[0]
-                    bindings.append((head, head))
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                target = _resolve_relative(module, is_init, node.level, node.module)
-            else:
-                target = node.module or ""
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                bindings.append((bound, f"{target}.{alias.name}" if target else alias.name))
     for stmt in tree.body:
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
@@ -791,13 +833,9 @@ class ProjectModel:
         fn_map = mod.function_map()
         if rest in fn_map:
             return (FUNCTION, f"{prefix}:{rest}")
-        head = rest.split(".")[0]
-        target = mod.binding(head)
-        if target is not None:
-            tail = rest[len(head) :].lstrip(".")
-            chained = f"{target}.{tail}" if tail else target
-            if chained not in seen:
-                return self.resolve_symbol(chained, seen)
+        chained = rebind(rest, mod.binding)
+        if chained is not None and chained not in seen:
+            return self.resolve_symbol(chained, seen)
         return (UNKNOWN, dotted)
 
     def resolve_call(self, mod: ModuleFacts, fn: FunctionFacts, site: CallSite) -> tuple[str, str]:
@@ -809,10 +847,8 @@ class ProjectModel:
             if qualname in mod.function_map():
                 return (FUNCTION, f"{mod.module}:{qualname}")
             return (UNKNOWN, site.name)
-        target = mod.binding(head)
-        if target is not None:
-            tail = ".".join(parts[1:])
-            absolute = f"{target}.{tail}" if tail else target
+        absolute = rebind(site.name, mod.binding)
+        if absolute is not None:
             return self.resolve_symbol(absolute)
         if len(parts) == 1 and head in mod.function_map():
             return (FUNCTION, f"{mod.module}:{head}")

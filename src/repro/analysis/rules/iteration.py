@@ -36,7 +36,7 @@ class SetIterationRule(Rule):
         self.subpackages = tuple(subpackages)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
-        if not ctx.in_subpackage(*self.subpackages):
+        if not any(ctx.in_package(name) for name in self.subpackages):
             return
         iterable = node.iter  # type: ignore[union-attr]
         if _is_set_expression(iterable):

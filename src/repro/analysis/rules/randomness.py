@@ -8,6 +8,10 @@ flags the two ways global RNG state sneaks in:
 * legacy ``np.random.<fn>()`` calls (``rand``, ``randint``, ``seed``, ...)
   that read or mutate numpy's hidden global state;
 * the stdlib ``random`` module in any form.
+
+Calls resolve through the file's import bindings
+(:func:`~repro.analysis.project.import_bindings`), so every spelling of
+the module — ``import numpy.linalg`` included — is followed.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import ast
 from typing import Iterable
 
 from repro.analysis.engine import FileContext, Finding, Rule, SEVERITY_ERROR
+from repro.analysis.project import _dotted, import_bindings, rebind
 
 #: Attributes of ``numpy.random`` that construct explicit, seedable state.
 SEEDABLE_CONSTRUCTORS = frozenset(
@@ -42,35 +47,17 @@ class UnseededRandomnessRule(Rule):
         "Generator, never global RNG state"
     )
     severity = SEVERITY_ERROR
-    interests = (ast.Import, ast.ImportFrom, ast.Call)
+    interests = (ast.ImportFrom, ast.Call)
 
     def begin_file(self, ctx: FileContext) -> None:
-        """Reset the per-file alias tables."""
-        self._numpy_aliases: set[str] = set()
-        self._numpy_random_aliases: set[str] = set()
-        self._stdlib_random_aliases: set[str] = set()
+        """Bind every imported name to its absolute dotted target."""
+        self._bindings = {b.local: b.target for b in import_bindings(ctx.tree)}
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
-        if isinstance(node, ast.Import):
-            yield from self._visit_import(node, ctx)
-        elif isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom):
             yield from self._visit_import_from(node, ctx)
         elif isinstance(node, ast.Call):
             yield from self._visit_call(node, ctx)
-
-    def _visit_import(self, node: ast.Import, ctx: FileContext) -> Iterable[Finding]:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "numpy":
-                self._numpy_aliases.add(bound)
-            elif alias.name == "numpy.random":
-                if alias.asname:
-                    self._numpy_random_aliases.add(alias.asname)
-                else:
-                    self._numpy_aliases.add("numpy")
-            elif alias.name == "random":
-                self._stdlib_random_aliases.add(bound)
-        return ()
 
     def _visit_import_from(
         self, node: ast.ImportFrom, ctx: FileContext
@@ -93,30 +80,18 @@ class UnseededRandomnessRule(Rule):
                         f"numpy.random.{alias.name} uses the legacy global "
                         f"RNG; use np.random.default_rng(seed) instead",
                     )
-        elif node.module == "numpy":
-            for alias in node.names:
-                if alias.name == "random":
-                    self._numpy_random_aliases.add(alias.asname or "random")
 
     def _visit_call(self, node: ast.Call, ctx: FileContext) -> Iterable[Finding]:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
+        # Only attribute calls: a from-imported name is reported at its import.
+        if not isinstance(node.func, ast.Attribute):
             return
-        attr = func.attr
-        value = func.value
-        # np.random.<fn>(...) — three-deep attribute chain.
-        if (
-            isinstance(value, ast.Attribute)
-            and value.attr == "random"
-            and isinstance(value.value, ast.Name)
-            and value.value.id in self._numpy_aliases
-        ):
+        dotted = rebind(_dotted(node.func), self._bindings.get)
+        if dotted is None:
+            return
+        module, _, attr = dotted.rpartition(".")
+        if module == "numpy.random":
             yield from self._check_numpy_attr(node, attr, ctx)
-        # npr.<fn>(...) where npr aliases numpy.random.
-        elif isinstance(value, ast.Name) and value.id in self._numpy_random_aliases:
-            yield from self._check_numpy_attr(node, attr, ctx)
-        # random.<fn>(...) on the stdlib module.
-        elif isinstance(value, ast.Name) and value.id in self._stdlib_random_aliases:
+        elif module == "random":
             yield self.finding(
                 ctx,
                 node,

@@ -116,6 +116,21 @@ class TestSalt:
         assert base != cache_salt(("R001", "R002"), ("a",))
         assert base != cache_salt(("R001",), ("a", "b"))
 
+    def test_salt_depends_on_the_analyzer_source(self, tmp_path, monkeypatch):
+        # A cache warmed by a different analyzer (a changed rule or fact
+        # extractor) must load cold rather than serve stale verdicts.
+        import repro.analysis.cache as cache_module
+
+        pkg = make_project(tmp_path)
+        cache = tmp_path / "cache.json"
+        base = cache_salt(("R001",), ("a",))
+        analyze(pkg, cache)
+        monkeypatch.setattr(cache_module, "analyzer_digest", lambda: "0" * 64)
+        assert cache_salt(("R001",), ("a",)) != base
+        after = analyze(pkg, cache)
+        assert after.stats.cache_hits == 0
+        assert after.stats.cache_misses == 3
+
     def test_file_sha_tracks_content(self, tmp_path):
         f = tmp_path / "x.py"
         f.write_text("a = 1\n")
