@@ -39,41 +39,13 @@ bench:
 bench-full:
 	PYTHONPATH=src REPRO_BENCH_FULL=1 pytest benchmarks/ --benchmark-only -s
 
-# Re-baseline procedure: this target overwrites BENCH_ibs.json with fresh
-# numbers.  After an intentional performance change, run `make bench-ibs`
-# on a quiet machine and commit the refreshed file; scripts/check_bench.py
-# gates CI against it.
-bench-ibs:
-	PYTHONPATH=src pytest benchmarks/test_engine_comparison.py \
-		--benchmark-only --benchmark-json=BENCH_ibs.json -s
-
-# Same re-baseline contract as bench-ibs, for the worker pool's parallel
-# speedup (workers=1 vs 4 on a Fig. 9a sweep): overwrites BENCH_pool.json.
-bench-pool:
-	PYTHONPATH=src python scripts/bench_pool.py
-
-# Same re-baseline contract, for streaming-audit throughput: a million-row
-# delta workload through the durable journal + incremental re-scorer,
-# overwriting BENCH_stream.json (deltas/sec, p95 batch latency, and the
-# late/early latency ratio that proves per-batch cost independence).
-bench-stream:
-	PYTHONPATH=src python scripts/bench_stream.py
-
-# Same re-baseline contract, for the sharded dataset plane: materializes
-# Adult-like stores at 10^6 and 10^7 rows and records sharded vs in-memory
-# region_counts seconds and peak RSS, overwriting BENCH_data.json.  The
-# peak-RSS ceiling scripts/check_bench.py enforces is absolute — only the
-# seconds are re-baselined by this target.
-bench-data:
-	PYTHONPATH=src python scripts/bench_data.py
-
-# Same re-baseline contract, for the serving front: the seeded workload
-# through a real localhost gateway vs the direct write path, plus an
-# 8-producer overload phase against 2 admission slots, overwriting
-# BENCH_serve.json.  The gateway_over_direct floor scripts/check_bench.py
-# enforces is absolute — only the throughput/latency are re-baselined.
-bench-serve:
-	PYTHONPATH=src python scripts/bench_serve.py
+# Re-baseline one workload of the scripts/bench.py table (make bench-ibs,
+# bench-pool, bench-stream, bench-data, bench-serve): overwrites its
+# BENCH_<name>.json.  Run on a quiet machine after an intentional
+# performance change and commit the refreshed file; CI gates against it
+# with `scripts/bench.py --check`.  Absolute bounds never move.
+bench-ibs bench-pool bench-stream bench-data bench-serve:
+	PYTHONPATH=src python scripts/bench.py $(@:bench-%=%)
 
 # Every perfbench workload at tiny sizes, untraced and traced: each must
 # exit 0, report correct, print exactly the declared metrics, and leave no

@@ -1,6 +1,6 @@
 """Measure sharded vs in-memory ``region_counts`` cost and peak RSS.
 
-For each ``--rows`` scale the script materialises an Adult-like store with
+For each ``rows`` scale the script materialises an Adult-like store with
 :func:`repro.data.store.write_store` (chunked through
 :func:`repro.data.store.synth_chunks`, so the parent never holds the full
 table either), verifies it, then runs two **child subprocesses** so each
@@ -19,27 +19,11 @@ count arrays — the parent refuses to write a record unless the sharded and
 in-memory digests match, so the benchmark doubles as a full-scale parity
 check.
 
-``scripts/check_bench.py --kind data`` guards the committed
-``BENCH_data.json``: ``sharded_seconds`` is baseline-relative (default
-tolerance 50% — raw seconds are machine-sensitive), while
-``sharded_peak_rss_mb`` has an **absolute** ceiling: a sharded count whose
-resident set grows with the table size has stopped being out-of-core, and
-that cannot be re-baselined away.
-
-Re-baselining (the seconds, never the ceiling): after an intentional
-change, run ``make bench-data`` on a quiet machine (it overwrites
-``BENCH_data.json`` in place) and commit the refreshed file.
-
-Usage::
-
-    PYTHONPATH=src python scripts/bench_data.py             # overwrite baseline
-    PYTHONPATH=src python scripts/bench_data.py --rows 1000000 \
-        --output /tmp/data.json                             # quick look
+Produced and gated by ``scripts/bench.py`` (workload ``data``).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -50,12 +34,8 @@ import tempfile
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
-BASELINE = REPO_ROOT / "BENCH_data.json"
-
-BENCH_ROWS = (1_000_000, 10_000_000)
 SHARD_ROWS = 250_000
 SEED = 5
 GENERATOR = "adult"
@@ -102,10 +82,10 @@ def measure(mode: str, store: Path, attrs: tuple[str, ...]) -> dict:
     """Run one variant in a child subprocess and parse its record."""
     argv = [
         sys.executable, str(Path(__file__).resolve()),
-        "--child", mode, "--store", str(store), "--attrs", ",".join(attrs),
+        mode, str(store), ",".join(attrs),
     ]
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise SystemExit(
@@ -115,7 +95,7 @@ def measure(mode: str, store: Path, attrs: tuple[str, ...]) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def bench_point(rows: int, shard_rows: int, workdir: Path) -> dict:
+def bench_point(rows: int, workdir: Path) -> dict:
     """Materialise one scale, measure both variants, cross-check parity."""
     from repro.data.store import synth_chunks, verify_store, write_store
     from repro.data.synth.adult import PROTECTED, load_adult
@@ -124,8 +104,8 @@ def bench_point(rows: int, shard_rows: int, workdir: Path) -> dict:
     start = time.perf_counter()
     write_store(
         store,
-        synth_chunks(load_adult, rows, shard_rows, SEED),
-        shard_rows,
+        synth_chunks(load_adult, rows, SHARD_ROWS, SEED),
+        SHARD_ROWS,
         source={"generator": GENERATOR, "rows": rows, "seed": SEED},
     )
     materialize_seconds = time.perf_counter() - start
@@ -168,51 +148,23 @@ def bench_point(rows: int, shard_rows: int, workdir: Path) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--rows", type=int, nargs="+", default=list(BENCH_ROWS),
-        help="row scales to measure (default: 1000000 10000000)",
-    )
-    parser.add_argument(
-        "--shard-rows", type=int, default=SHARD_ROWS,
-        help=f"rows per shard when materializing (default {SHARD_ROWS:,})",
-    )
-    parser.add_argument(
-        "--output", default=str(BASELINE),
-        help="where to write the record (default: overwrite the baseline)",
-    )
-    parser.add_argument("--child", choices=("sharded", "memory"),
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--store", help=argparse.SUPPRESS)
-    parser.add_argument("--attrs", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-
-    if args.child:
-        record = run_child(
-            args.child, args.store, tuple(args.attrs.split(","))
-        )
-        print(json.dumps(record))
-        return 0
-
+def run(rows: tuple[int, ...]) -> dict:
+    """Measure every scale in ``rows``; returns the sharded-vs-memory record."""
     points = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-data-") as tmp:
-        for rows in args.rows:
-            print(f"rows={rows:,}:", flush=True)
-            points.append(bench_point(rows, args.shard_rows, Path(tmp)))
-
-    record = {
+        for scale in rows:
+            print(f"rows={scale:,}:", flush=True)
+            points.append(bench_point(scale, Path(tmp)))
+    return {
         "generator": GENERATOR,
-        "shard_rows": args.shard_rows,
+        "shard_rows": SHARD_ROWS,
         "attrs": 6,
         "cpu_count": os.cpu_count() or 1,
         "points": points,
     }
-    Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"record written to {args.output}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Child mode for ``measure``: MODE STORE ATTRS (comma-separated).
+    mode, store, attrs = sys.argv[1:]
+    print(json.dumps(run_child(mode, store, tuple(attrs.split(",")))))

@@ -18,37 +18,14 @@ each worker count in the grid and records, per count:
   during the warm sweep.  With the zero-copy dataset plane this is a few
   KB of :class:`~repro.resilience.shm.DatasetRef` handles, not the data.
 
-``scripts/check_bench.py --kind pool`` guards the committed
-``BENCH_pool.json`` with *absolute* floors on ``speedup_workers4_vs_1``:
->= 0.8 on a box with fewer than 4 CPUs (4 warm workers on 1 core must
-cost at most scheduler noise vs 1 worker; a payload-shipping regression
-costs multiples) and >= 1.5 when 4+ CPUs are available.
-
-Re-baselining: after an intentional pool change, run ``make bench-pool``
-on a quiet machine (it overwrites ``BENCH_pool.json`` in place) and commit
-the refreshed file.
-
-Usage::
-
-    PYTHONPATH=src python scripts/bench_pool.py              # overwrite baseline
-    PYTHONPATH=src python scripts/bench_pool.py --output /tmp/pool.json
+Produced and gated by ``scripts/bench.py`` (workload ``pool``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-BASELINE = REPO_ROOT / "BENCH_pool.json"
-
-BENCH_ROWS = 4000
 BENCH_ATTR_GRID = (2, 3, 4, 5, 6)
 # Best-of-6: each warm sweep is well under a second, and on a 1-CPU box
 # a best-of-3 minimum still carries enough scheduler noise to push the
@@ -157,20 +134,11 @@ def timed_sweeps(
     return rows_out
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run the sweeps at every grid point and write the speedup record."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output", default=str(BASELINE),
-        help="where to write the JSON record (default: BENCH_pool.json, "
-        "i.e. re-baseline)",
-    )
-    parser.add_argument("--rows", type=int, default=BENCH_ROWS)
-    args = parser.parse_args(argv)
-
+def run(rows: int) -> dict:
+    """Cold + warm sweeps at every grid point; returns the speedup record."""
     cpu_count = os.cpu_count() or 1
     grid = worker_grid(cpu_count)
-    per_workers = timed_sweeps(grid, args.rows, BENCH_ATTR_GRID)
+    per_workers = timed_sweeps(grid, rows, BENCH_ATTR_GRID)
     for workers in grid:
         row = per_workers[str(workers)]
         b = row["breakdown"]
@@ -183,20 +151,14 @@ def main(argv: list[str] | None = None) -> int:
             flush=True,
         )
     speedup = per_workers["1"]["seconds"] / max(per_workers["4"]["seconds"], 1e-9)
-    record = {
+    print(f"speedup (1 -> 4 workers, warm): {speedup:.2f}x", flush=True)
+    return {
         "kind": "pool",
         "experiment": "fig9a",
-        "rows": args.rows,
+        "rows": rows,
         "attr_grid": list(BENCH_ATTR_GRID),
         "cpu_count": cpu_count,
         "workers": per_workers,
         "seconds": {w: row["seconds"] for w, row in per_workers.items()},
         "speedup_workers4_vs_1": round(speedup, 3),
     }
-    Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
-    print(f"speedup (1 -> 4 workers, warm): {speedup:.2f}x; wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,45 +16,18 @@ Three phases, one seeded workload:
   many requests were shed (``shed_requests`` — zero would mean the phase
   never actually exercised admission control).
 
-``scripts/check_bench.py --kind serve`` guards the committed
-``BENCH_serve.json``: ``gateway_deltas_per_sec`` may not fall by more
-than the tolerance (default 50% — raw seconds are machine-sensitive),
-``shed_p95_seconds`` may not rise past 3x baseline (scheduling noise
-dominates the overload phase; the gate is for retry storms, not jitter),
-while ``gateway_over_direct`` has an
-**absolute** floor: an HTTP front that keeps less than 10% of the direct
-write path's throughput has stopped being a thin front.
-
-Re-baselining: after an intentional serving change, run ``make
-bench-serve`` on a quiet machine (it overwrites ``BENCH_serve.json`` in
-place) and commit the refreshed file.
-
-Usage::
-
-    PYTHONPATH=src python scripts/bench_serve.py              # overwrite baseline
-    PYTHONPATH=src python scripts/bench_serve.py --output /tmp/serve.json
-    PYTHONPATH=src python scripts/bench_serve.py --rows 20000     # quick look
+Produced and gated by ``scripts/bench.py`` (workload ``serve``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 import tempfile
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-BASELINE = REPO_ROOT / "BENCH_serve.json"
-
-BENCH_ROWS = 100_000
 BATCH_ROWS = 500
 SEED = 13
 
@@ -203,8 +176,14 @@ def bench_overload(tmp: str) -> dict:
     }
 
 
-def run_bench(rows: int, batch_rows: int) -> dict:
-    batches = make_batches(rows, batch_rows)
+def run(rows: int) -> dict:
+    """Direct, gateway and overload phases; returns the serving record."""
+    print(
+        f"serving {rows:,} rows in {BATCH_ROWS:,}-delta batches "
+        "through the gateway",
+        flush=True,
+    )
+    batches = make_batches(rows, BATCH_ROWS)
     n_deltas = sum(len(d) for __, d in batches)
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
         print(f"  direct: {n_deltas:,} deltas ...", flush=True)
@@ -224,7 +203,7 @@ def run_bench(rows: int, batch_rows: int) -> dict:
         )
     return {
         "rows": rows,
-        "batch_rows": batch_rows,
+        "batch_rows": BATCH_ROWS,
         "n_deltas": n_deltas,
         "direct_deltas_per_sec": round(direct, 1),
         "gateway_deltas_per_sec": round(gateway_dps, 1),
@@ -233,35 +212,3 @@ def run_bench(rows: int, batch_rows: int) -> dict:
         **overload,
         "cpu_count": os.cpu_count() or 1,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--rows", type=int, default=BENCH_ROWS,
-        help=f"rows through each of direct/gateway (default {BENCH_ROWS:,})",
-    )
-    parser.add_argument(
-        "--batch-rows", type=int, default=BATCH_ROWS,
-        help=f"deltas per micro-batch (default {BATCH_ROWS:,})",
-    )
-    parser.add_argument(
-        "--output", default=str(BASELINE),
-        help="where to write the record (default: overwrite the baseline)",
-    )
-    args = parser.parse_args(argv)
-
-    print(
-        f"serving {args.rows:,} rows in {args.batch_rows:,}-delta batches "
-        "through the gateway",
-        flush=True,
-    )
-    record = run_bench(args.rows, args.batch_rows)
-    Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"record written to {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

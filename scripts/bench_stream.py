@@ -2,7 +2,7 @@
 
 Ingests a seeded ~90/5/5 insert/delete/relabel workload in fixed-size
 micro-batches through a real :class:`~repro.stream.service.StreamService`
-(journal fsyncs included) until ``--rows`` cumulative rows have been
+(journal fsyncs included) until ``rows`` cumulative rows have been
 inserted, and records:
 
 * ``deltas_per_sec`` — total deltas over total wall seconds of
@@ -15,42 +15,17 @@ inserted, and records:
   has accumulated, so this ratio must stay near 1 even as the state
   grows from 0 to a million rows.
 
-``scripts/check_bench.py --kind stream`` guards the committed
-``BENCH_stream.json``: throughput and p95 latency are baseline-relative
-(default tolerance 50% — raw seconds are machine-sensitive), while
-``late_over_early_p95`` has an **absolute** ceiling of 3.0: a per-batch
-cost that grows with the total row count is a design regression, not a
-slow machine.
-
-Re-baselining: after an intentional streaming change, run ``make
-bench-stream`` on a quiet machine (it overwrites ``BENCH_stream.json`` in
-place) and commit the refreshed file.
-
-Usage::
-
-    PYTHONPATH=src python scripts/bench_stream.py             # overwrite baseline
-    PYTHONPATH=src python scripts/bench_stream.py --output /tmp/stream.json
-    PYTHONPATH=src python scripts/bench_stream.py --rows 100000   # quick look
+Produced and gated by ``scripts/bench.py`` (workload ``stream``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-BASELINE = REPO_ROOT / "BENCH_stream.json"
-
-BENCH_ROWS = 1_000_000
 BATCH_ROWS = 1_000
 SEED = 11
 
@@ -106,11 +81,13 @@ def make_batch(rng, alive, next_id, n_inserts):
     return deltas, next_id
 
 
-def run_bench(rows: int, batch_rows: int) -> dict:
+def run(rows: int) -> dict:
+    """Stream ``rows`` cumulative rows; returns the throughput/latency record."""
     from repro.stream.service import StreamService
 
+    print(f"streaming {rows:,} rows in {BATCH_ROWS:,}-delta batches", flush=True)
     rng = np.random.default_rng(SEED)
-    n_batches = rows // batch_rows
+    n_batches = rows // BATCH_ROWS
     batch_seconds: list[float] = []
     n_deltas = 0
     with tempfile.TemporaryDirectory(prefix="repro-bench-stream-") as tmp:
@@ -121,7 +98,7 @@ def run_bench(rows: int, batch_rows: int) -> dict:
             alive: list[int] = []
             next_id = 0
             for b in range(n_batches):
-                deltas, next_id = make_batch(rng, alive, next_id, batch_rows)
+                deltas, next_id = make_batch(rng, alive, next_id, BATCH_ROWS)
                 n_deltas += len(deltas)
                 start = time.perf_counter()
                 service.ingest([(f"b{b:06d}", deltas)])
@@ -144,7 +121,7 @@ def run_bench(rows: int, batch_rows: int) -> dict:
     late_p95 = float(np.percentile(arr[-decile:], 95))
     return {
         "rows": rows,
-        "batch_rows": batch_rows,
+        "batch_rows": BATCH_ROWS,
         "n_batches": n_batches,
         "n_deltas": n_deltas,
         "n_alive": n_alive,
@@ -156,34 +133,3 @@ def run_bench(rows: int, batch_rows: int) -> dict:
         "late_over_early_p95": round(late_p95 / early_p95, 3),
         "cpu_count": os.cpu_count() or 1,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--rows", type=int, default=BENCH_ROWS,
-        help=f"cumulative rows to stream (default {BENCH_ROWS:,})",
-    )
-    parser.add_argument(
-        "--batch-rows", type=int, default=BATCH_ROWS,
-        help=f"deltas per micro-batch (default {BATCH_ROWS:,})",
-    )
-    parser.add_argument(
-        "--output", default=str(BASELINE),
-        help="where to write the record (default: overwrite the baseline)",
-    )
-    args = parser.parse_args(argv)
-
-    print(
-        f"streaming {args.rows:,} rows in {args.batch_rows:,}-delta batches",
-        flush=True,
-    )
-    record = run_bench(args.rows, args.batch_rows)
-    Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"record written to {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

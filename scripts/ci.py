@@ -31,8 +31,9 @@ Runs the repository's quality gates in order, fail-fast::
                        every drill must converge to a byte-identical
                        replay with zero acked-but-lost batches
     examples           every script in examples/ end to end
-    bench-regression   fresh IBS + pool + stream + data + serve benchmarks
-                       vs the committed baselines
+    bench-regression   scripts/bench.py --check: every benchmark workload
+                       (ibs, pool, stream, data, serve) at CI sizes, gated
+                       against its committed BENCH_*.json baseline
     bench-smoke        every perfbench workload at tiny sizes, untraced and
                        traced: exit 0, correct, the declared metrics, no
                        process left behind
@@ -55,7 +56,6 @@ import argparse
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -73,13 +73,7 @@ PYTHON = sys.executable
 STRICT_RULES = ",".join(rule for rule in RULE_IDS if rule != "R014")
 
 
-def stage_commands(
-    bench_json: str,
-    pool_json: str,
-    stream_json: str,
-    data_json: str,
-    serve_json: str,
-) -> list[tuple[str, list[list[str]]]]:
+def stage_commands() -> list[tuple[str, list[list[str]]]]:
     """The ordered CI stages; each is (name, list of argv to run in order)."""
     return [
         (
@@ -152,34 +146,7 @@ def stage_commands(
         ),
         (
             "bench-regression",
-            [
-                [PYTHON, "-m", "pytest", "benchmarks/test_engine_comparison.py",
-                 "--benchmark-only", f"--benchmark-json={bench_json}", "-s"],
-                [PYTHON, "scripts/check_bench.py", bench_json],
-                [PYTHON, "scripts/bench_pool.py", "--output", pool_json],
-                [PYTHON, "scripts/check_bench.py", pool_json, "--kind", "pool"],
-                # A reduced-row stream run keeps the stage's wall time in
-                # check; the ratio metrics it gates are row-count invariant
-                # (that invariance is itself the late/early check).
-                [PYTHON, "scripts/bench_stream.py", "--rows", "100000",
-                 "--output", stream_json],
-                [PYTHON, "scripts/check_bench.py", stream_json,
-                 "--kind", "stream"],
-                # Reduced-rows for the same reason; the RSS ceiling the
-                # gate enforces is absolute, so the smaller scale still
-                # proves the bounded-resident-set property.
-                [PYTHON, "scripts/bench_data.py", "--rows", "1000000",
-                 "--output", data_json],
-                [PYTHON, "scripts/check_bench.py", data_json,
-                 "--kind", "data"],
-                # Reduced-rows again; the overload phase (the shed-latency
-                # metric) and the overhead-ratio floor are row-count
-                # invariant.
-                [PYTHON, "scripts/bench_serve.py", "--rows", "20000",
-                 "--output", serve_json],
-                [PYTHON, "scripts/check_bench.py", serve_json,
-                 "--kind", "serve"],
-            ],
+            [[PYTHON, "scripts/bench.py", "--check"]],
         ),
         (
             "bench-smoke",
@@ -215,17 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
 
-    # The fresh benchmark JSONs go to temp files so the committed
-    # BENCH_*.json baselines are never clobbered by CI.
-    tmpdir = tempfile.mkdtemp(prefix="repro-ci-")
-    bench_json = os.path.join(tmpdir, "bench.json")
-    pool_json = os.path.join(tmpdir, "pool.json")
-    stream_json = os.path.join(tmpdir, "stream.json")
-    data_json = os.path.join(tmpdir, "data.json")
-    serve_json = os.path.join(tmpdir, "serve.json")
-    stages = stage_commands(
-        bench_json, pool_json, stream_json, data_json, serve_json
-    )
+    stages = stage_commands()
     if args.stages:
         wanted = [s.strip() for s in args.stages.split(",") if s.strip()]
         known = {name for name, _ in stages}
