@@ -29,7 +29,7 @@ from repro.analysis.baseline import (
     prune_baseline,
     write_baseline,
 )
-from repro.analysis.cache import AnalysisCache, cache_salt, file_sha256
+from repro.analysis.cache import AnalysisCache, cache_salt
 from repro.analysis.driver import (
     AnalysisOutcome,
     AnalysisStats,
@@ -104,7 +104,6 @@ __all__ = [
     "diff_against_baseline",
     "AnalysisCache",
     "cache_salt",
-    "file_sha256",
     "ModuleFacts",
     "ProjectModel",
     "PurityReport",

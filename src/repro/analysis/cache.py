@@ -29,13 +29,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.data.io import atomic_write_json
+from repro.digest import fingerprint
 
 CACHE_VERSION = 1
-
-
-def file_sha256(path: Path) -> str:
-    """Content hash used as the per-file cache key."""
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @functools.cache
@@ -51,16 +47,14 @@ def analyzer_digest() -> str:
 
 def cache_salt(rule_ids: Sequence[str], exported_names: Sequence[str]) -> str:
     """Salt binding entries to the analyzer, rule set and export surface."""
-    blob = json.dumps(
+    return fingerprint(
         {
             "version": CACHE_VERSION,
             "analyzer": analyzer_digest(),
             "rules": sorted(rule_ids),
             "exports": sorted(exported_names),
-        },
-        sort_keys=True,
+        }
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 class AnalysisCache:

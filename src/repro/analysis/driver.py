@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.cache import AnalysisCache, cache_salt, file_sha256
+from repro.analysis.cache import AnalysisCache, cache_salt
 from repro.analysis.engine import (
     Analyzer,
     Finding,
@@ -47,6 +47,7 @@ from repro.analysis.project import (
     module_name_for,
 )
 from repro.analysis.purity import PurityReport
+from repro.digest import file_sha256
 from repro.errors import AnalysisError
 
 #: Sibling directories scanned (tokens only) as export consumers for R014.

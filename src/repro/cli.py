@@ -324,8 +324,8 @@ def _build_executor(args: argparse.Namespace) -> "CellExecutor":
         CellExecutor,
         Checkpoint,
         RetryPolicy,
-        sweep_run_id,
     )
+    from repro.digest import fingerprint
 
     if args.max_retries < 0:
         raise ExperimentError(f"--max-retries must be >= 0, got {args.max_retries}")
@@ -349,11 +349,13 @@ def _build_executor(args: argparse.Namespace) -> "CellExecutor":
                 f"checkpoint {path} already exists; pass --resume to continue "
                 "that sweep or delete the file to start over"
             )
-        run_id = sweep_run_id(
-            experiment=args.experiment,
-            rows=args.rows,
-            models=list(args.models),
-            seed=args.seed,
+        run_id = fingerprint(
+            {
+                "experiment": args.experiment,
+                "rows": args.rows,
+                "models": list(args.models),
+                "seed": args.seed,
+            }
         )
         checkpoint = Checkpoint(path, run_id, resume=args.resume)
     policy = RetryPolicy(max_attempts=args.max_retries + 1, seed=args.seed)

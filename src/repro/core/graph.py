@@ -6,13 +6,20 @@ that diagram as a :class:`networkx.DiGraph` — one graph node per hierarchy
 node (a deterministic attribute set), edges from each node to its parents —
 annotated with region counts, so the lattice can be inspected, exported to
 DOT, or analysed with standard graph tooling.
+
+networkx is imported on first call, not with :mod:`repro.core`: nothing
+on the identify → remedy → retrain path draws the lattice, so no other
+process pays networkx's import time.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.hierarchy import Hierarchy
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def node_key(attrs: tuple[str, ...]) -> str:
@@ -26,6 +33,8 @@ def hierarchy_to_networkx(hierarchy: Hierarchy) -> "nx.DiGraph":
     Node attributes: ``level``, ``attrs``, ``n_cells``, ``total_pos``,
     ``total_neg``.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_node(
         node_key(()),

@@ -9,7 +9,6 @@ for the named cache behind the ``repro data`` CLI.
 from repro.data.store.format import (
     FORMAT_VERSION,
     MANIFEST_NAME,
-    file_sha256,
     manifest_digest,
     read_manifest,
     schema_digest,
@@ -32,7 +31,6 @@ from repro.data.store.sharded import (
 __all__ = [
     "FORMAT_VERSION",
     "MANIFEST_NAME",
-    "file_sha256",
     "manifest_digest",
     "read_manifest",
     "schema_digest",

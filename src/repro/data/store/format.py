@@ -23,7 +23,6 @@ sha256 + byte size per file plus a hash of the schema block, so
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -33,6 +32,7 @@ import numpy as np
 from repro.data.io import atomic_write_json
 from repro.data.schema import Schema
 from repro.data.schema_io import schema_from_dict, schema_to_dict
+from repro.digest import canonical_json, sha256_hex
 from repro.errors import SchemaError, StoreCorruptionError, StoreError
 
 FORMAT_VERSION = 1
@@ -50,33 +50,16 @@ def column_file_name(index: int) -> str:
     return f"c{index:04d}.npy"
 
 
-def canonical_json(payload: object) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace) for hashing."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def schema_digest(schema: Schema, protected: Iterable[str]) -> str:
     """sha256 of the canonical schema + protected-set JSON block."""
     payload = schema_to_dict(schema, tuple(protected))
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return sha256_hex(canonical_json(payload))
 
 
 def manifest_digest(manifest: Mapping[str, object]) -> str:
     """sha256 of a manifest's canonical JSON — the identity a ``StoreRef``
     pins so workers can detect a store rewritten under them."""
-    return hashlib.sha256(canonical_json(dict(manifest)).encode()).hexdigest()
-
-
-def file_sha256(path: str | Path, chunk_size: int = 1 << 20) -> str:
-    """Streaming sha256 of a file's bytes (never loads the file whole)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(chunk_size)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
+    return sha256_hex(canonical_json(dict(manifest)))
 
 
 def load_array(path: str | Path, *, mmap: bool = True) -> np.ndarray:
@@ -202,10 +185,8 @@ __all__ = [
     "LABELS_FILE",
     "shard_dir_name",
     "column_file_name",
-    "canonical_json",
     "schema_digest",
     "manifest_digest",
-    "file_sha256",
     "load_array",
     "save_array",
     "write_manifest",

@@ -38,13 +38,13 @@ from repro.data.store.format import (
     MANIFEST_NAME,
     build_manifest,
     column_file_name,
-    file_sha256,
     read_manifest,
     save_array,
     shard_dir_name,
     write_manifest,
 )
 from repro.data.store.sharded import ShardedDataset, _require_shard_rows
+from repro.digest import file_sha256
 from repro.errors import StoreCorruptionError, StoreError
 
 TMP_PREFIX = ".tmp-"

@@ -13,7 +13,6 @@ from repro.obs.manifest import (
     RunManifest,
     build_manifest,
     collect_versions,
-    config_hash,
     manifest_from_dict,
     manifest_path_for,
     read_manifest,
@@ -53,7 +52,6 @@ __all__ = [
     "Tracer",
     "build_manifest",
     "collect_versions",
-    "config_hash",
     "count",
     "current_tracer",
     "event",

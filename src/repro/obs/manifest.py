@@ -12,7 +12,6 @@ be traced back to the exact configuration that produced it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 from dataclasses import dataclass, field
@@ -20,21 +19,11 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.data.io import atomic_write_json
+from repro.digest import fingerprint
 from repro.errors import ObsError
 from repro.obs.trace import Tracer
 
 MANIFEST_VERSION = 1
-
-
-def config_hash(params: Mapping[str, object]) -> str:
-    """Stable 16-hex-digit fingerprint of a parameter mapping.
-
-    Parameters are serialised as sorted-key JSON (non-JSON values fall
-    back to ``str``), so the same configuration always hashes the same
-    and key order never matters.
-    """
-    blob = json.dumps(dict(params), sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def collect_versions() -> dict[str, str]:
@@ -116,7 +105,7 @@ def build_manifest(
     return RunManifest(
         command=command,
         params=dict(params),
-        config_hash=config_hash(params),
+        config_hash=fingerprint(dict(params)),
         seed=seed,
         versions=collect_versions(),
         metrics=tracer.metric_totals() if tracer is not None else {},

@@ -17,7 +17,6 @@ from repro.resilience.checkpoint import (
     Checkpoint,
     inspect_checkpoint,
     prune_checkpoints,
-    sweep_run_id,
 )
 from repro.resilience.executor import (
     BACKEND_INPROC,
@@ -73,7 +72,6 @@ __all__ = [
     "BACKENDS",
     "Checkpoint",
     "CHECKPOINT_VERSION",
-    "sweep_run_id",
     "inspect_checkpoint",
     "prune_checkpoints",
     "Fault",

@@ -21,7 +21,6 @@ here once per completed cell.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from pathlib import Path
@@ -38,17 +37,6 @@ CHECKPOINT_VERSION = 1
 CELL_OK = "ok"
 
 
-def sweep_run_id(**params: object) -> str:
-    """Stable fingerprint of a sweep configuration.
-
-    Any JSON-representable keyword arguments work; non-JSON values fall
-    back to ``str``.  The same parameters always hash to the same id, so a
-    ``--resume`` against a checkpoint from a different sweep is rejected.
-    """
-    blob = json.dumps(params, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 class Checkpoint:
     """Durable map from cell key to its recorded completion payload.
 
@@ -57,8 +45,8 @@ class Checkpoint:
     path:
         Checkpoint file location; created on the first ``record``.
     run_id:
-        Sweep fingerprint (see :func:`sweep_run_id`).  An existing file
-        with a different ``run_id`` raises
+        Sweep fingerprint (see :func:`repro.digest.fingerprint`).  An
+        existing file with a different ``run_id`` raises
         :class:`~repro.errors.CheckpointError` when ``resume`` is set.
     resume:
         When True (the default) an existing file is loaded and its cells

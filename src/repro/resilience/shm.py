@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -50,6 +49,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
+from repro.digest import canonical_json
 from repro.errors import ResilienceError
 from repro.obs import trace as obs
 
@@ -146,7 +146,7 @@ def dataset_content_hash(dataset: Dataset) -> str:
         ],
         "protected": list(dataset.protected),
     }
-    digest.update(json.dumps(header, sort_keys=True).encode("utf-8"))
+    digest.update(canonical_json(header).encode("utf-8"))
     for col in dataset.schema:
         arr = np.ascontiguousarray(dataset.column(col.name))
         digest.update(col.name.encode("utf-8"))

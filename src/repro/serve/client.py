@@ -37,13 +37,9 @@ from pathlib import Path
 from typing import Sequence
 
 from repro import errors
-from repro.data.store.format import (
-    file_sha256,
-    manifest_digest,
-    read_manifest,
-    write_manifest,
-)
+from repro.data.store.format import manifest_digest, read_manifest, write_manifest
 from repro.data.store.registry import TMP_PREFIX, verify_store
+from repro.digest import file_sha256
 from repro.errors import StoreCorruptionError, TransportError
 from repro.obs import trace as obs
 from repro.resilience import RetryPolicy

@@ -25,8 +25,6 @@ delegated to the :class:`~repro.stream.monitor.DriftMonitor`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,6 +42,7 @@ from repro.core.imbalance import is_biased
 from repro.core.neighbors import hamming_budget, iter_neighbor_cells
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
+from repro.digest import canonical_json, sha256_hex
 from repro.errors import DeltaError, JournalError, StreamError
 from repro.obs import trace as obs
 from repro.stream.deltas import (
@@ -285,8 +284,7 @@ class StreamAuditor:
             ],
             "alarms": self.monitor.export_active(),
         }
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return sha256_hex(canonical_json(payload))
 
     # -- replay -------------------------------------------------------------------
     @classmethod

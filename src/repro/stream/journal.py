@@ -40,7 +40,6 @@ Recovery modes:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -52,6 +51,7 @@ from typing import Iterator, Sequence
 from repro.data.io import atomic_write_json
 from repro.data.schema import Schema
 from repro.data.schema_io import schema_from_dict, schema_to_dict
+from repro.digest import canonical_json, sha256_hex
 from repro.errors import JournalError, StreamError
 
 RECORD_GENESIS = "genesis"
@@ -73,13 +73,9 @@ def _segment_name(generation: int, first_seq: int) -> str:
     return f"segment-g{generation:08d}-{first_seq:012d}.jsonl"
 
 
-def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _record_sha(prev: str, seq: int, rtype: str, payload: object) -> str:
-    body = _canonical({"payload": payload, "seq": seq, "type": rtype})
-    return hashlib.sha256((prev + body).encode("utf-8")).hexdigest()
+    body = canonical_json({"payload": payload, "seq": seq, "type": rtype})
+    return sha256_hex(prev + body)
 
 
 @dataclass(frozen=True)
@@ -502,7 +498,7 @@ class DeltaLog:
             "sha": sha,
             "type": rtype,
         }
-        line = _canonical(envelope) + "\n"
+        line = canonical_json(envelope) + "\n"
         if self._handle is None:
             self._handle = open(self._segments[-1], "ab")
         if (
@@ -538,7 +534,7 @@ class DeltaLog:
             "n_insert": kinds.count("i"),
             "n_delete": kinds.count("d"),
             "n_relabel": kinds.count("r"),
-            "sha": hashlib.sha256(_canonical(deltas).encode()).hexdigest(),
+            "sha": sha256_hex(canonical_json(deltas)),
             "ts": time.time(),
         }
         seq = self._append_record(
@@ -667,7 +663,7 @@ class DeltaLog:
     def append_dead_letter(self, entry: dict) -> None:
         """Durably append one quarantine entry."""
         with open(self.deadletter_path, "ab") as fh:
-            fh.write((_canonical(entry) + "\n").encode("utf-8"))
+            fh.write((canonical_json(entry) + "\n").encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis import analyze_project, cache_salt, default_rules, file_sha256
+from repro.analysis import analyze_project, cache_salt, default_rules
+from repro.digest import file_sha256
 
 
 def make_project(root: Path) -> Path:

@@ -6,11 +6,11 @@ import json
 
 import pytest
 
+from repro.digest import fingerprint
 from repro.errors import DataError, ObsError
 from repro.obs import (
     Tracer,
     build_manifest,
-    config_hash,
     count,
     current_tracer,
     event,
@@ -232,11 +232,11 @@ class TestSummary:
 
 class TestManifest:
     def test_config_hash_is_order_insensitive(self):
-        h1 = config_hash({"a": 1, "b": 2})
-        h2 = config_hash({"b": 2, "a": 1})
+        h1 = fingerprint({"a": 1, "b": 2})
+        h2 = fingerprint({"b": 2, "a": 1})
         assert h1 == h2
         assert len(h1) == 16
-        assert config_hash({"a": 1, "b": 3}) != h1
+        assert fingerprint({"a": 1, "b": 3}) != h1
 
     def test_build_and_round_trip(self, tmp_path):
         tracer = Tracer()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.digest import fingerprint
 from repro.errors import CheckpointError
 from repro.resilience import (
     CHECKPOINT_VERSION,
@@ -13,22 +14,21 @@ from repro.resilience import (
     Checkpoint,
     inspect_checkpoint,
     prune_checkpoints,
-    sweep_run_id,
 )
 
 
 class TestRunId:
     def test_stable_across_calls(self):
-        assert sweep_run_id(a=1, b="x") == sweep_run_id(a=1, b="x")
+        assert fingerprint({"a": 1, "b": "x"}) == fingerprint({"a": 1, "b": "x"})
 
     def test_order_insensitive(self):
-        assert sweep_run_id(a=1, b=2) == sweep_run_id(b=2, a=1)
+        assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
 
     def test_different_params_differ(self):
-        assert sweep_run_id(a=1) != sweep_run_id(a=2)
+        assert fingerprint({"a": 1}) != fingerprint({"a": 2})
 
     def test_non_json_values_stringified(self):
-        assert sweep_run_id(p=object) == sweep_run_id(p=object)
+        assert fingerprint({"p": object}) == fingerprint({"p": object})
 
 
 class TestCheckpoint:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 import tests.pool_cells  # noqa: F401  — registers the test.* cells
+from repro.digest import fingerprint
 from repro.errors import ResilienceError
 from repro.resilience import (
     BACKEND_INPROC,
@@ -29,7 +30,6 @@ from repro.resilience import (
     WorkerPool,
     register_cell,
     resolve_cell,
-    sweep_run_id,
 )
 from tests.pool_cells import add_cell
 
@@ -206,7 +206,7 @@ class TestProcessBackend:
 
     def test_checkpoint_resume_across_backends(self, tmp_path):
         path = tmp_path / "ck.json"
-        run_id = sweep_run_id(suite="pool-resume")
+        run_id = fingerprint({"suite": "pool-resume"})
         entries = [
             ("a", "test.square", {"x": 2}),
             ("b", "test.square", {"x": 3}),

@@ -34,8 +34,6 @@ from repro.data.store.format import (
     FORMAT_VERSION,
     MANIFEST_NAME,
     build_manifest,
-    canonical_json,
-    file_sha256,
     load_array,
     manifest_digest,
     write_manifest,
@@ -43,6 +41,7 @@ from repro.data.store.format import (
 from repro.data.store.registry import LEASE_DIR, TMP_PREFIX
 from repro.data.store.sharded import DiskShard, MemoryShard, RelabeledShard
 from repro.data.synth import load_adult
+from repro.digest import canonical_json, file_sha256
 from repro.errors import (
     DataError,
     ExperimentError,
